@@ -63,6 +63,13 @@ func TestStatusJSONDeterministic(t *testing.T) {
 	if snap.Counters["sim.fastpath.hits"]+snap.Counters["sim.fastpath.misses"] == 0 {
 		t.Error("sim.fastpath.* all zero: fast-path counters not collected")
 	}
+	if snap.Counters["sim.fastpath.compiles"] == 0 {
+		t.Error("sim.fastpath.compiles = 0: a cold scan must compile flows")
+	}
+	// A 20-target scan is far below the flow-table cap.
+	if got, ok := snap.Counters["sim.fastpath.evictions"]; !ok || got != 0 {
+		t.Errorf("sim.fastpath.evictions = %d (present %v), want 0 in the schema", got, ok)
+	}
 	if snap.Counters["scan.received"] == 0 {
 		t.Error("scan.received = 0: the fixture always answers some probes")
 	}

@@ -90,6 +90,9 @@ func TestGroupCountersSumShards(t *testing.T) {
 		want.FastPathHits += c.FastPathHits
 		want.FastPathMisses += c.FastPathMisses
 		want.FastPathInvalidations += c.FastPathInvalidations
+		want.FastPathBatched += c.FastPathBatched
+		want.FastPathCompiles += c.FastPathCompiles
+		want.FastPathEvictions += c.FastPathEvictions
 	}
 	if got := n.grp.Counters(); got != want {
 		t.Errorf("group counters = %+v, shard sum = %+v", got, want)

@@ -372,10 +372,16 @@ type Counters struct {
 	// FastPathInvalidations counts generation bumps (each discards
 	// every compiled flow). FastPathBatched is the subset of hits
 	// served by the batched injection path (group-charged replays).
+	// FastPathCompiles counts flow compilations (each miss that walked
+	// the path); FastPathEvictions counts live compiled flows overwritten
+	// because their probe window was full at the slot cap — non-zero
+	// means the table thrashes.
 	FastPathHits          uint64
 	FastPathMisses        uint64
 	FastPathInvalidations uint64
 	FastPathBatched       uint64
+	FastPathCompiles      uint64
+	FastPathEvictions     uint64
 }
 
 // Counters returns the engine totals, consistent under the engine lock.
@@ -391,6 +397,8 @@ func (e *Engine) Counters() Counters {
 		FastPathMisses:        e.fp.misses,
 		FastPathInvalidations: e.fp.invalidations,
 		FastPathBatched:       e.fp.batched,
+		FastPathCompiles:      e.fp.compiles,
+		FastPathEvictions:     e.fp.evictions,
 	}
 }
 

@@ -19,8 +19,10 @@ import (
 // duplication, reordering and rate-limiting behave identically (pinned
 // by simtest.RunFastPathOracle). Flows are keyed by (ingress interface,
 // destination); entries whose every forwarding decision is uniform
-// across the destination's /64 are stored wide, so the scanner's
-// random-IID probes into one window /64 share a single entry.
+// across a region around the destination are stored wide, so the
+// scanner's random-IID probes into one window /64 share a single entry,
+// and probes into a provider block's unassigned space share one guarded
+// block-wide entry (see fpFlagGuard).
 //
 // Only nodes that opt in via CompilableHop participate; anything with
 // per-packet state (a CPE in a vulnerable-loop mode, a UE, a node
@@ -92,6 +94,10 @@ type compiledTerm struct {
 	nHole uint8
 	src   ipv6.Addr
 	gate  *errorGate
+	// guard, when non-nil, is the provider edge whose unassigned space
+	// the claim covers; the entry then refuses whatever the router
+	// shadows (its live delegations and own addresses).
+	guard *ISPRouter
 	excl  [fpExclCap]ipv6.Addr
 	holes [fpHoleCap]ipv6.Prefix
 }
@@ -176,6 +182,12 @@ const (
 	fpFlagLossless = 1 << 1
 	// fpFlagTmpl: the cold tail's error template is valid.
 	fpFlagTmpl = 1 << 2
+	// fpFlagGuard: the entry is a provider edge's unassigned-space claim
+	// and its region has live holes the hole list cannot hold — every
+	// delegation in the block. Lookups ask the cold tail's guard router
+	// (ISPRouter.shadows) before serving a destination, so a delegated
+	// destination misses and resolves against its own cell's entry.
+	fpFlagGuard = 1 << 3
 )
 
 // flowHot is the hot header of one compiled flow: everything the
@@ -245,8 +257,9 @@ func (h *flowHot) hasTmpl() bool  { return h.flags&fpFlagTmpl != 0 }
 // (holes, exclusions) last, touched only for destinations whose /64
 // cell the hot pre-filter marked.
 type flowCold struct {
-	replySrc ipv6.Addr // reply path below is valid only for this probe source
-	edge     *Iface    // edge ingress for the reply (entryError) or packet (entryEdge)
+	replySrc ipv6.Addr  // reply path below is valid only for this probe source
+	edge     *Iface     // edge ingress for the reply (entryError) or packet (entryEdge)
+	guard    *ISPRouter // fpFlagGuard: the router whose live state shadows the region
 	// Error header template, captured on first replay: the error's IPv6
 	// + ICMPv6 headers for a probe of probeLen bytes, plus the partial
 	// checksum of the constant region. Replay copies the header, splices
@@ -320,6 +333,10 @@ type flowCache struct {
 	// (inject.go) — a subset of hits, surfaced so telemetry can show
 	// how much of a scan ran batch-grained.
 	batched uint64
+	// compiles counts compileFlow walks; evictions counts live entries
+	// overwritten by an insert into a full probe window at the slot cap.
+	compiles  uint64
+	evictions uint64
 }
 
 // bumpLocked invalidates all compiled flows.
@@ -483,6 +500,9 @@ func (fp *flowCache) lookup(ifid uint32, hi, lo uint64) int {
 					continue
 				}
 			}
+			if s.flags&fpFlagGuard != 0 && fp.cold[j].guard.shadows(hi, lo) {
+				continue
+			}
 			if wi > 0 {
 				fp.widths[wi-1], fp.widths[wi] = fp.widths[wi], fp.widths[wi-1]
 			}
@@ -565,12 +585,25 @@ func (fp *flowCache) tryPlace(h *flowHot, c *flowCold) (int, bool) {
 	return fp.setSlot(victim, h, c), true
 }
 
+// place is tryPlace that evicts when the window is full. The victim is
+// the entry covering the smallest region (the longest key width): a
+// block-wide unassigned-space entry serves nearly every probe of a
+// sparse scan, while a delegated cell's entry serves one cell, so the
+// wide claims stay resident and which narrow entries a full table
+// drops never changes how often the wide ones hit.
 func (fp *flowCache) place(h *flowHot, c *flowCold) int {
 	if j, ok := fp.tryPlace(h, c); ok {
 		return j
 	}
 	hash := slotHash(h.ifid, h.width, h.hi)
-	return fp.setSlot(hash&fp.mask, h, c) // window full: evict
+	victim := hash & fp.mask
+	for i := uint64(1); i < fpProbe; i++ {
+		if j := (hash + i) & fp.mask; fp.hot[j].width > fp.hot[victim].width {
+			victim = j
+		}
+	}
+	fp.evictions++
+	return fp.setSlot(victim, h, c)
 }
 
 func (fp *flowCache) grow() {
@@ -686,6 +719,7 @@ func (e *Engine) fpAttempt(d delivery) (fpResult, delivery) {
 // entry is built in the engine's scratch pair, so even a flow that
 // cannot be cached is compiled without allocating.
 func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
+	e.fp.compiles++
 	dst := ipv6.AddrFromBytes(pkt[24:40])
 	u := dst.Uint128()
 	ent := &e.fpScratchH
@@ -856,6 +890,10 @@ func applyTermRegion(h *flowHot, c *flowCold, term *compiledTerm) {
 		if !mergeHole(h, c, term.holes[k]) {
 			h.flags &^= fpFlagWide
 		}
+	}
+	if term.guard != nil {
+		h.flags |= fpFlagGuard
+		c.guard = term.guard
 	}
 }
 

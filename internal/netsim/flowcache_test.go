@@ -218,17 +218,16 @@ func TestFlowCacheLoopFusionParity(t *testing.T) {
 }
 
 // TestFlowCacheWideEntrySharing pins region-width compilation: two
-// destinations in different /64s of one unassigned delegation cell
-// share a compiled entry (the second probe is a cache hit), while the
-// ISP's own interface address — which sits inside a compilable region —
-// keeps answering as itself rather than inheriting the region's fate.
+// destinations in one unassigned region share a compiled entry (the
+// second probe is a cache hit), while the ISP's own interface address —
+// which sits inside a compilable region — keeps answering as itself
+// rather than inheriting the region's fate.
 func TestFlowCacheWideEntrySharing(t *testing.T) {
 	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
 
-	// The finest delegation table in buildTestNet is /64-grained, so the
-	// uniform cell around unassigned 2001:db8:aaaa:bbbb::/64 is exactly
-	// one /64: probing two IIDs of it shares the entry; probing the
-	// adjacent /64 compiles its own.
+	// Unassigned 2001:db8:aaaa:bbbb::/64 lies in the ISP's guarded
+	// unassigned-space entry: probing two IIDs of it shares the entry
+	// (the subtest below pins sharing across distant /64s).
 	a1 := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::1")
 	a2 := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::2")
 	p.inject(t, a1, 64, 1)
@@ -254,6 +253,83 @@ func TestFlowCacheWideEntrySharing(t *testing.T) {
 	p.inject(t, local, 64, 5) // warm local
 	p.inject(t, other, 64, 6) // warm region
 	p.compare(t, "wan interleaved")
+
+	t.Run("guarded unassigned block", testGuardedBlockEntry)
+}
+
+// testGuardedBlockEntry pins the guarded unassigned-space claim: the ISP
+// router compiles empty space as one entry spanning (most of) its block,
+// and that entry must refuse every live delegation and router address
+// inside its region — sparse delegations to a UE and a hostile
+// responder, a router-local address, and a cell delegated only after
+// the entry had already replayed it as unassigned.
+func testGuardedBlockEntry(t *testing.T) {
+	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
+	hostilePfx := ipv6.MustParsePrefix("2001:db8:a000:100::/56")
+	uePfx := ipv6.MustParsePrefix("2001:db8:b000:200::/64")
+	latePfx := ipv6.MustParsePrefix("2001:db8:9000:300::/64")
+	localAddr := ipv6.MustParseAddr("2001:db8:8000:1::fe")
+	delegate := func(n *testNet, pfx ipv6.Prefix, peer *Iface) {
+		t.Helper()
+		down := n.isp.AddIface(ipv6.MustParseAddr("2001:db8:1234:5678::1"), "isp:"+pfx.String())
+		n.eng.Connect(down, peer, 0)
+		if err := n.isp.Delegate(pfx, down); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []*testNet{p.fast, p.slow} {
+		h := NewHostile(HostileConfig{Name: "h", Prefix: hostilePfx, Mode: HostileAliased, Seed: 3})
+		delegate(n, hostilePfx, h.Iface())
+		ue := NewUE("ue", ipv6.SLAAC(uePfx, 1), uePfx, nil, ErrorPolicy{})
+		delegate(n, uePfx, ue.Iface())
+		n.isp.AddIface(localAddr, "isp:local")
+	}
+
+	// Two unassigned /64s far apart in the block share one entry.
+	empty1 := ipv6.MustParseAddr("2001:db8:8000:1::1")
+	empty2 := ipv6.MustParseAddr("2001:db8:bfff:ffff::9")
+	p.inject(t, empty1, 64, 1)
+	p.compare(t, "cold unassigned")
+	before := p.fast.eng.Counters()
+	p.inject(t, empty2, 64, 2)
+	p.compare(t, "warm unassigned")
+	if after := p.fast.eng.Counters(); after.FastPathHits <= before.FastPathHits {
+		t.Errorf("distant unassigned /64 missed: hits %d -> %d, compiles %d -> %d",
+			before.FastPathHits, after.FastPathHits, before.FastPathCompiles, after.FastPathCompiles)
+	}
+
+	// Delegated and router-local destinations inside the warm entry's
+	// region must not inherit its unreachable.
+	dsts := []ipv6.Addr{
+		ipv6.SLAAC(hostilePfx, 0x77), ipv6.SLAAC(uePfx, 1), ipv6.SLAAC(uePfx, 2),
+		localAddr, empty1, ipv6.MustParseAddr("2001:db8:a000:1ff::5"), empty2,
+		ipv6.MustParseAddr("2001:db8:a000:200::5"), ipv6.SLAAC(hostilePfx, 0x78),
+	}
+	seq := uint16(10)
+	for round := 0; round < 2; round++ {
+		for _, dst := range dsts {
+			p.inject(t, dst, 64, seq)
+			p.compare(t, fmt.Sprintf("round %d dst %s", round, dst))
+			seq++
+		}
+	}
+
+	// A cell replayed as unassigned, then delegated: the next probe (after
+	// the guarded entry has recompiled) must take the delegated path.
+	late := ipv6.SLAAC(latePfx, 1)
+	p.inject(t, late, 64, seq)
+	p.inject(t, late, 64, seq+1)
+	p.compare(t, "late cell unassigned")
+	for _, n := range []*testNet{p.fast, p.slow} {
+		ue := NewUE("ue-late", late, latePfx, nil, ErrorPolicy{})
+		delegate(n, latePfx, ue.Iface())
+	}
+	p.inject(t, empty1, 64, seq+2) // recompile the guarded entry first
+	p.inject(t, late, 64, seq+3)
+	p.compare(t, "late cell delegated")
+	p.inject(t, empty2, 64, seq+4)
+	p.inject(t, late, 64, seq+5)
+	p.compare(t, "late cell warm")
 }
 
 // TestFlowCacheInvalidationCounter pins the observability contract:

@@ -97,3 +97,33 @@ func TestFlowCacheTagCollisionProperty(t *testing.T) {
 		fp.tags[j] = old
 	}
 }
+
+// TestFlowCacheEvictsNarrowestRegion pins the eviction policy at the
+// slot cap: an insert into a probe window full of live entries
+// overwrites the entry with the longest key width, so a wide claim
+// that serves a whole block outlives the single-cell entries around it
+// and FastPathEvictions counts the overwrite.
+func TestFlowCacheEvictsNarrowestRegion(t *testing.T) {
+	fp := flowCache{enabled: true, gen: 1}
+	fp.tags = make([]uint64, fpProbe)
+	fp.hot = make([]flowHot, fpProbe)
+	fp.cold = make([]flowCold, fpProbe)
+	fp.mask = fpProbe - 1
+	widths := [fpProbe]uint8{25, 64, 60, 33}
+	for j, w := range widths {
+		fp.tags[j] = 1
+		fp.hot[j] = flowHot{gen: fp.gen, width: w, ifid: 9, flags: fpFlagWide}
+	}
+	j := fp.place(&flowHot{ifid: 1, width: 56, hi: 0xabcd << 48, flags: fpFlagWide}, &flowCold{})
+	if j != 1 {
+		t.Errorf("evicted slot %d (width %d), want slot 1 (width 64)", j, widths[j])
+	}
+	for k, w := range widths {
+		if k != j && fp.hot[k].width != w {
+			t.Errorf("slot %d changed from width %d to %d", k, w, fp.hot[k].width)
+		}
+	}
+	if fp.evictions != 1 {
+		t.Errorf("evictions = %d, want 1", fp.evictions)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/ipv6"
+	"repro/internal/uint128"
 	"repro/internal/wire"
 )
 
@@ -213,13 +214,14 @@ func (r *ISPRouter) Handle(in *Iface, pkt []byte) []Emission {
 	return r.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute)
 }
 
-// uniformWidth returns the width of the largest region around dst over
-// which the forwarding decision is uniform: one cell of the finest
-// delegation table (every address of a delegated /60 resolves to the
-// same subscriber, every address of an unassigned cell to none),
-// clipped to the block boundary. For destinations outside the block
-// the region extends to the first bit where dst and the block diverge.
-// 0 means unexpressible in the top 64 bits (claim must be exact).
+// uniformWidth returns the width of the largest region around a
+// delegated or out-of-block dst over which the forwarding decision is
+// uniform. Inside the block that is one cell of the finest delegation
+// table (every address of a delegated /60 resolves to the same
+// subscriber); outside it the region extends to the first bit where dst
+// and the block diverge. Unassigned space inside the block is claimed
+// by CompileTerminal instead, as one guarded block-wide entry. 0 means
+// unexpressible in the top 64 bits (claim must be exact).
 func (r *ISPRouter) uniformWidth(dst ipv6.Addr) uint8 {
 	if r.block.Bits() > 64 {
 		return 0
@@ -231,11 +233,7 @@ func (r *ISPRouter) uniformWidth(dst ipv6.Addr) uint8 {
 		}
 		w = uint8(r.delegs[0].subLen)
 	}
-	if r.block.Contains(dst) {
-		if bw := uint8(r.block.Bits()); bw > w {
-			w = bw
-		}
-	} else {
+	if !r.block.Contains(dst) {
 		// Outside the block the decision (upstream default) is uniform
 		// up to the first bit where dst and the block diverge.
 		c := bits.LeadingZeros64(dst.Uint128().Hi ^ r.block.Addr().Uint128().Hi)
@@ -249,10 +247,9 @@ func (r *ISPRouter) uniformWidth(dst ipv6.Addr) uint8 {
 	return w
 }
 
-// regionClaim is uniformWidth bounded away from the router's own
+// regionClaim bounds a w-bit claim around dst away from the router's own
 // interface addresses (same-/64 ones are excluded instead).
-func (r *ISPRouter) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
-	w := r.uniformWidth(dst)
+func (r *ISPRouter) regionClaim(w uint8, dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
 	if w == 0 {
 		return 0
 	}
@@ -262,6 +259,20 @@ func (r *ISPRouter) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl
 		return 0
 	}
 	return width
+}
+
+// shadows reports whether a guarded unassigned-space entry of this
+// router must refuse dst: a live delegation or one of the router's own
+// addresses. The flow cache asks on every hit of such an entry, so one
+// block-wide entry serves all empty space while each delegated cell
+// falls through to its own entry.
+func (r *ISPRouter) shadows(hi, lo uint64) bool {
+	dst := ipv6.AddrFrom128(uint128.Uint128{Hi: hi, Lo: lo})
+	if r.isLocal(dst) {
+		return true
+	}
+	_, ok := r.lookup(dst)
+	return ok
 }
 
 // CompileStep implements CompilableHop: transit via a delegation or the
@@ -278,15 +289,17 @@ func (r *ISPRouter) CompileStep(in *Iface, dst ipv6.Addr) (CompiledStep, bool) {
 		out = r.upstream
 	}
 	step := CompiledStep{Out: out, Forwarded: &r.CountForwarded}
-	step.Width = r.regionClaim(dst, &step.Excl, &step.NExcl)
+	step.Width = r.regionClaim(r.uniformWidth(dst), dst, &step.Excl, &step.NExcl)
 	return step, true
 }
 
 // CompileTerminal implements terminalCompiler: unassigned space within
 // the block — and, absent a usable upstream, anything unrouted — draws
 // Destination Unreachable / no route. This is the error the paper's
-// periphery discovery exploits one hop early; the whole unassigned
-// delegation cell compiles to one wide entry.
+// periphery discovery exploits one hop early. Unassigned space compiles
+// to one guarded entry as wide as the block: the guard hands every live
+// delegation and router address back to the lookup (see shadows), so a
+// single entry serves a whole sparse census pass.
 func (r *ISPRouter) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
 	if r.isLocal(dst) {
 		return compiledTerm{}, false
@@ -303,7 +316,11 @@ func (r *ISPRouter) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, boo
 		src:  in.addr,
 		gate: &r.gate,
 	}
-	t.width = r.regionClaim(dst, &t.excl, &t.nExcl)
+	w := r.uniformWidth(dst)
+	if r.block.Contains(dst) {
+		w, t.guard = prefixWidth(r.block), r
+	}
+	t.width = r.regionClaim(w, dst, &t.excl, &t.nExcl)
 	return t, true
 }
 

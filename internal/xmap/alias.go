@@ -66,12 +66,12 @@ type respSlot struct {
 // trie entries are created only by those signatures (an honest scan
 // creates none).
 type aliasDetector struct {
-	bits       int // detect-prefix length, <= 64
-	probes     int // cooldown probes per suspicious prefix (j)
-	confirm    int // evidence needed to blocklist
+	bits       int    // detect-prefix length, <= 64
+	probes     int    // cooldown probes per suspicious prefix (j)
+	confirm    int    // evidence needed to blocklist
 	window     uint64 // cooldown length in drain ticks
-	echoThresh int // distinct self-echo targets to trigger
-	quarThresh int // quarantined replies to trigger
+	echoThresh int    // distinct self-echo targets to trigger
+	quarThresh int    // quarantined replies to trigger
 
 	trie map[uint64]*aliasEntry
 	// resp64 records the first validated error responder seen per

@@ -70,6 +70,9 @@ func TestStatusJSONDeterministic(t *testing.T) {
 	if got, ok := snap.Counters["sim.fastpath.evictions"]; !ok || got != 0 {
 		t.Errorf("sim.fastpath.evictions = %d (present %v), want 0 in the schema", got, ok)
 	}
+	if snap.Counters["sim.fastpath.resident_bytes"] == 0 {
+		t.Error("sim.fastpath.resident_bytes = 0: a scan that compiled flows holds a flow table")
+	}
 	if snap.Counters["scan.received"] == 0 {
 		t.Error("scan.received = 0: the fixture always answers some probes")
 	}

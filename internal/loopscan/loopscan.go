@@ -5,16 +5,12 @@
 package loopscan
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
-	"hash"
 
 	"repro/internal/ipv6"
 	"repro/internal/netsim"
 	"repro/internal/perm"
 	"repro/internal/telemetry"
-	"repro/internal/uint128"
 	"repro/internal/wire"
 	"repro/internal/xmap"
 )
@@ -23,6 +19,20 @@ import (
 // enough to cross the Internet (Yarrp6's fill-mode data shows all paths
 // <32), small enough to bound the loop traffic a probe induces.
 const DefaultHopLimit = 32
+
+// MaxHopLimit is the largest usable h: its h+2 confirmation probe must
+// still fit the 8-bit hop limit field.
+const MaxHopLimit = wire.MaxHopLimit - 2
+
+// CheckHopLimit rejects a probe hop limit h outside [1, MaxHopLimit]: a
+// probe at hop limit 0 is invalid, and above MaxHopLimit the h+2
+// confirmation probe would wrap around.
+func CheckHopLimit(h int) error {
+	if h < 1 || h > MaxHopLimit {
+		return fmt.Errorf("loopscan: hop limit %d out of [1,%d]", h, MaxHopLimit)
+	}
+	return nil
+}
 
 // Verdict classifies one probed address.
 type Verdict int
@@ -57,74 +67,92 @@ type CheckResult struct {
 	Verdict   Verdict
 }
 
-// Detector probes for loops through a scan driver. A Detector is not
-// safe for concurrent use: probes share reusable HMAC scratch state.
+// checkWindow and checkSeed key the validation values of CheckAddr
+// calls made outside a sweep: /128 sub-prefixes bind each value to the
+// exact probed address.
+var (
+	checkWindow = ipv6.Window{To: 128}
+	checkSeed   = []byte("loopscan")
+)
+
+// Detector probes for loops through a scan driver, on the scanner's
+// probe path: targets and validation values come from an
+// xmap.Derivation, probes are built and replies validated by
+// xmap.ICMPEchoProbe, and drained buffers go back to a Releaser driver.
+// A Detector is not safe for concurrent use: probes share one reused
+// buffer, reply decoder and derivation cache.
 type Detector struct {
 	drv xmap.PacketDriver
-	// HopLimit is h (default DefaultHopLimit).
+	rel xmap.Releaser // drv's Releaser capability, if any
+	// HopLimit is h (default DefaultHopLimit), in [1, MaxHopLimit].
 	HopLimit uint8
 	// Tel, when set, counts probes, responses and confirmed loops into a
 	// telemetry shard (loop.* counters). Nil detaches instrumentation.
 	Tel *telemetry.Shard
-	seq uint16
 
-	// idMac is keyed once and Reset per probe, keeping the validation-ID
-	// derivation off the per-probe allocation path (as in xmap.Scanner).
-	idMac  hash.Hash
-	macSum [sha256.Size]byte
-	macIn  [16]byte
+	// der keys the validation values: the current window's derivation
+	// during ScanWindows, the checkWindow one otherwise. hop is the
+	// outstanding probe's hop limit, folded into its validation value so
+	// a target's h and h+2 probes differ on the wire and a reply to one
+	// never confirms the other. validate is the bound validation method,
+	// constructed once.
+	der      xmap.Derivation
+	hop      uint32
+	validate xmap.Validator
+	// echo holds the h and h+2 probe modules (one each, so neither's
+	// cached probe image is rebuilt per target); buf is the reused probe
+	// buffer and sum the reused reply decoder.
+	echo [2]xmap.ICMPEchoProbe
+	buf  []byte
+	sum  wire.Summary
 }
 
 // NewDetector creates a detector.
 func NewDetector(drv xmap.PacketDriver) *Detector {
-	return &Detector{
+	d := &Detector{
 		drv:      drv,
 		HopLimit: DefaultHopLimit,
-		idMac:    hmac.New(sha256.New, []byte("loopscan")),
+		der:      xmap.NewDerivation(checkWindow, checkSeed),
 	}
+	d.rel, _ = drv.(xmap.Releaser)
+	d.validate = d.validation
+	return d
 }
 
-// probe sends one echo request with the given hop limit and returns the
-// first matching ICMPv6 response.
-func (d *Detector) probe(dst ipv6.Addr, hopLimit uint8) (responder ipv6.Addr, icmpType uint8, ok bool, err error) {
-	d.seq++
-	id := d.validationID(dst)
-	pkt, err := wire.BuildEchoRequest(d.drv.SourceAddr(), dst, hopLimit, id, d.seq, nil)
+// validation is the value a probe to dst at the outstanding hop limit
+// carries in its echo id and sequence.
+func (d *Detector) validation(dst ipv6.Addr) uint32 { return d.der.Validation(dst) ^ d.hop }
+
+// probe sends one echo request to dst through echo and returns the
+// first reply that validates against it — an error quoting this probe,
+// or an echo reply from dst itself. Every drained buffer goes back to a
+// Releaser driver.
+func (d *Detector) probe(echo *xmap.ICMPEchoProbe, dst ipv6.Addr) (resp xmap.Response, ok bool, err error) {
+	d.hop = uint32(echo.HopLimit)
+	d.buf, err = echo.AppendProbe(d.buf, d.drv.SourceAddr(), dst, d.validate(dst))
 	if err != nil {
-		return ipv6.Addr{}, 0, false, err
+		return resp, false, err
 	}
-	if err := d.drv.Send(pkt); err != nil {
-		return ipv6.Addr{}, 0, false, err
+	if err := d.drv.Send(d.buf); err != nil {
+		return resp, false, err
 	}
 	d.Tel.Inc(telemetry.LoopProbes)
-	for _, raw := range d.drv.Recv() {
-		sum, perr := wire.ParsePacket(raw)
-		if perr != nil || sum.ICMP == nil {
+	rx := d.drv.Recv()
+	for _, raw := range rx {
+		if d.sum.Parse(raw) != nil {
 			continue
 		}
-		switch sum.ICMP.Type {
-		case wire.ICMPDestUnreach, wire.ICMPTimeExceeded:
-			inv, perr := wire.ParseInvoking(sum.ICMP.Body)
-			if perr != nil || inv.IP.Dst != dst || inv.EchoID != id {
-				continue
-			}
-			return sum.IP.Src, sum.ICMP.Type, true, nil
-		case wire.ICMPEchoReply:
-			if sum.IP.Src == dst {
-				return sum.IP.Src, wire.ICMPEchoReply, true, nil
-			}
+		// The validation value is bound to dst's sub-prefix, so a reply
+		// about another address in it must not count for this probe.
+		if r, valid := echo.Classify(&d.sum, d.validate); valid && r.ProbeDst == dst {
+			resp, ok = r, true
+			break
 		}
 	}
-	return ipv6.Addr{}, 0, false, nil
-}
-
-// validationID derives the echo identifier from the target.
-func (d *Detector) validationID(dst ipv6.Addr) uint16 {
-	d.idMac.Reset()
-	d.macIn = dst.Bytes()
-	d.idMac.Write(d.macIn[:])
-	s := d.idMac.Sum(d.macSum[:0])
-	return uint16(s[0])<<8 | uint16(s[1])
+	if d.rel != nil && len(rx) > 0 {
+		d.rel.Release(rx)
+	}
+	return resp, ok, nil
 }
 
 // CheckAddr applies the paper's method to one address: a Time Exceeded
@@ -134,27 +162,28 @@ func (d *Detector) validationID(dst ipv6.Addr) uint16 {
 // the +2 step keeps loop parity so the same device answers).
 func (d *Detector) CheckAddr(dst ipv6.Addr) (CheckResult, error) {
 	res := CheckResult{Target: dst, Verdict: VerdictSilent}
-	from, typ, ok, err := d.probe(dst, d.HopLimit)
-	if err != nil {
+	if err := CheckHopLimit(int(d.HopLimit)); err != nil {
 		return res, err
 	}
-	if !ok {
-		return res, nil
+	d.echo[0].HopLimit, d.echo[1].HopLimit = d.HopLimit, d.HopLimit+2
+	first, ok, err := d.probe(&d.echo[0], dst)
+	if err != nil || !ok {
+		return res, err
 	}
 	d.Tel.Inc(telemetry.LoopResponses)
-	res.Responder = from
-	if typ != wire.ICMPTimeExceeded {
+	res.Responder = first.Responder
+	if first.Kind != xmap.KindTimeExceeded {
 		res.Verdict = VerdictUnreachable
 		return res, nil
 	}
-	from2, typ2, ok2, err := d.probe(dst, d.HopLimit+2)
+	second, ok, err := d.probe(&d.echo[1], dst)
 	if err != nil {
 		return res, err
 	}
-	if ok2 {
+	if ok {
 		d.Tel.Inc(telemetry.LoopResponses)
 	}
-	if ok2 && typ2 == wire.ICMPTimeExceeded && from2 == from {
+	if ok && second.Kind == xmap.KindTimeExceeded && second.Responder == first.Responder {
 		res.Verdict = VerdictLoop
 		d.Tel.Inc(telemetry.LoopConfirmed)
 		return res, nil
@@ -192,34 +221,33 @@ func (r *ScanResult) VulnerableHops() []*HopInfo {
 }
 
 // ScanWindows sweeps each window: every sub-prefix probed once at a
-// pseudo-random host address, loop-checked per CheckAddr.
+// pseudo-random host address, loop-checked per CheckAddr. The sweep key
+// "loop-"+seed drives both the permutation and the per-window
+// xmap.Derivation of targets and validation values.
 func (d *Detector) ScanWindows(windows []ipv6.Window, seed []byte) (*ScanResult, error) {
 	res := &ScanResult{Hops: make(map[ipv6.Addr]*HopInfo)}
-	// One keyed HMAC and staging/digest scratch for the whole sweep
-	// instead of fresh allocations per target.
-	mac := hmac.New(sha256.New, seed)
-	var sum [sha256.Size]byte
-	in := make([]byte, 16)
+	key := append([]byte("loop-"), seed...)
+	defer func(outside xmap.Derivation) { d.der = outside }(d.der)
 	for _, w := range windows {
 		size, ok := w.Size()
 		if !ok {
 			return nil, fmt.Errorf("loopscan: window %s too large", w)
 		}
-		cycle, err := perm.NewCycle(size, append([]byte("loop-"), seed...))
+		cycle, err := perm.NewCycle(size, key)
 		if err != nil {
 			return nil, fmt.Errorf("loopscan: permutation for %s: %w", w, err)
 		}
+		d.der = xmap.NewDerivation(w, key)
 		it := cycle.Iterate()
 		for {
 			idx, ok := it.Next()
 			if !ok {
 				break
 			}
-			sub, err := w.Sub(idx)
+			dst, err := d.der.TargetFor(idx)
 			if err != nil {
 				return nil, err
 			}
-			dst := targetInMac(sub, mac, in, sum[:0])
 			res.Targets++
 			cr, err := d.CheckAddr(dst)
 			if err != nil {
@@ -247,37 +275,6 @@ func (d *Detector) ScanWindows(windows []ipv6.Window, seed []byte) (*ScanResult,
 	return res, nil
 }
 
-// targetIn derives the pseudo-random in-prefix host address.
-func targetIn(sub ipv6.Prefix, seed []byte) ipv6.Addr {
-	return targetInMac(sub, hmac.New(sha256.New, seed), nil, nil)
-}
-
-// targetInMac is targetIn against a reusable keyed HMAC. in (len 16)
-// stages the address bytes and scratch receives the digest; passing
-// both hoisted buffers keeps the per-target call allocation-free, since
-// a local array written through the hash.Hash interface would be forced
-// to the heap. Either may be nil.
-func targetInMac(sub ipv6.Prefix, mac hash.Hash, in, scratch []byte) ipv6.Addr {
-	mac.Reset()
-	b := sub.Addr().Bytes()
-	if len(in) >= 16 {
-		copy(in, b[:])
-		mac.Write(in[:16])
-	} else {
-		mac.Write(b[:])
-	}
-	sum := mac.Sum(scratch)
-	host := uint128.FromBytes(sum[:16])
-	hostBits := uint(128 - sub.Bits())
-	if hostBits < 128 {
-		host = host.And(uint128.Max.Rsh(128 - hostBits))
-	}
-	if host.IsZero() {
-		host = uint128.One
-	}
-	return ipv6.AddrFrom128(sub.Addr().Uint128().Or(host))
-}
-
 // AmplificationResult quantifies one attack packet's effect.
 type AmplificationResult struct {
 	// LinkPackets is how many packets the victim access link carried.
@@ -293,22 +290,7 @@ type AmplificationResult struct {
 // amplification factor measurement (Section VI-A: each packet traverses
 // the ISP-CPE link 255-n times).
 func MeasureAmplification(drv xmap.PacketDriver, dst ipv6.Addr, victim *netsim.Link) (AmplificationResult, error) {
-	before := snapshot(victim)
-	pkt, err := wire.BuildEchoRequest(drv.SourceAddr(), dst, wire.MaxHopLimit, 0xa77a, 1, nil)
-	if err != nil {
-		return AmplificationResult{}, err
-	}
-	if err := drv.Send(pkt); err != nil {
-		return AmplificationResult{}, err
-	}
-	drv.Recv() // drain any terminal error
-	after := snapshot(victim)
-	res := AmplificationResult{
-		LinkPackets: after.pkts - before.pkts,
-		LinkBytes:   after.bytes - before.bytes,
-	}
-	res.Factor = float64(res.LinkPackets)
-	return res, nil
+	return flood(drv, drv.SourceAddr(), []ipv6.Addr{dst}, 1, victim, 0xa77a0001)
 }
 
 // MeasureAmplificationSpoofed repeats the measurement with a spoofed
@@ -317,22 +299,7 @@ func MeasureAmplification(drv xmap.PacketDriver, dst ipv6.Addr, victim *netsim.L
 // second time, "doubling the loop times" as Section VI-A notes for ASes
 // without source address validation.
 func MeasureAmplificationSpoofed(drv xmap.PacketDriver, dst, spoofedSrc ipv6.Addr, victim *netsim.Link) (AmplificationResult, error) {
-	before := snapshot(victim)
-	pkt, err := wire.BuildEchoRequest(spoofedSrc, dst, wire.MaxHopLimit, 0xa77b, 1, nil)
-	if err != nil {
-		return AmplificationResult{}, err
-	}
-	if err := drv.Send(pkt); err != nil {
-		return AmplificationResult{}, err
-	}
-	drv.Recv()
-	after := snapshot(victim)
-	res := AmplificationResult{
-		LinkPackets: after.pkts - before.pkts,
-		LinkBytes:   after.bytes - before.bytes,
-	}
-	res.Factor = float64(res.LinkPackets)
-	return res, nil
+	return flood(drv, spoofedSrc, []ipv6.Addr{dst}, 1, victim, 0xa77b0001)
 }
 
 type linkCounters struct{ pkts, bytes uint64 }
@@ -352,17 +319,30 @@ func Attack(drv xmap.PacketDriver, targets []ipv6.Addr, count int, victim *netsi
 	if len(targets) == 0 || count <= 0 {
 		return AmplificationResult{}, fmt.Errorf("loopscan: nothing to send")
 	}
+	return flood(drv, drv.SourceAddr(), targets, count, victim, 0)
+}
+
+// flood sends count maximum-hop-limit echo requests from src to the
+// targets in round-robin, the i-th carrying echo id/seq val+i, and
+// discards every reply (handing the buffers back to a Releaser driver).
+// It reports the victim-link traffic per packet sent.
+func flood(drv xmap.PacketDriver, src ipv6.Addr, targets []ipv6.Addr, count int, victim *netsim.Link, val uint32) (AmplificationResult, error) {
+	rel, _ := drv.(xmap.Releaser)
+	echo := xmap.ICMPEchoProbe{HopLimit: wire.MaxHopLimit}
+	var buf []byte
 	before := snapshot(victim)
 	for i := 0; i < count; i++ {
-		dst := targets[i%len(targets)]
-		pkt, err := wire.BuildEchoRequest(drv.SourceAddr(), dst, wire.MaxHopLimit, uint16(i), uint16(i>>16), nil)
+		var err error
+		buf, err = echo.AppendProbe(buf, src, targets[i%len(targets)], val+uint32(i))
 		if err != nil {
 			return AmplificationResult{}, err
 		}
-		if err := drv.Send(pkt); err != nil {
+		if err := drv.Send(buf); err != nil {
 			return AmplificationResult{}, err
 		}
-		drv.Recv()
+		if rx := drv.Recv(); rel != nil && len(rx) > 0 {
+			rel.Release(rx)
+		}
 	}
 	after := snapshot(victim)
 	res := AmplificationResult{

@@ -1,0 +1,7 @@
+//go:build !race
+
+package loopscan
+
+// raceEnabled skips the allocation guard under the race detector,
+// which allocates on its own.
+const raceEnabled = false

@@ -93,6 +93,7 @@ func TestGroupCountersSumShards(t *testing.T) {
 		want.FastPathBatched += c.FastPathBatched
 		want.FastPathCompiles += c.FastPathCompiles
 		want.FastPathEvictions += c.FastPathEvictions
+		want.FastPathResidentBytes += c.FastPathResidentBytes
 	}
 	if got := n.grp.Counters(); got != want {
 		t.Errorf("group counters = %+v, shard sum = %+v", got, want)

@@ -139,6 +139,9 @@ func (c *CPE) Behavior() CPEBehavior { return c.behavior }
 // Delegated returns the delegated LAN prefix (zero Prefix if none).
 func (c *CPE) Delegated() ipv6.Prefix { return c.delegated }
 
+// Subnets returns the in-use LAN subnets.
+func (c *CPE) Subnets() []ipv6.Prefix { return c.subnets }
+
 // Handle implements Node, realizing the routing table of the paper's
 // Figure 4 — correct or flawed depending on Behavior.
 func (c *CPE) Handle(in *Iface, pkt []byte) []Emission {

@@ -375,13 +375,16 @@ type Counters struct {
 	// FastPathCompiles counts flow compilations (each miss that walked
 	// the path); FastPathEvictions counts live compiled flows overwritten
 	// because their probe window was full at the slot cap — non-zero
-	// means the table thrashes.
+	// means the table thrashes. FastPathResidentBytes is the memory the
+	// flow table's tag, hot and cold arrays hold right now (a level, not
+	// a count; summed across engines).
 	FastPathHits          uint64
 	FastPathMisses        uint64
 	FastPathInvalidations uint64
 	FastPathBatched       uint64
 	FastPathCompiles      uint64
 	FastPathEvictions     uint64
+	FastPathResidentBytes uint64
 }
 
 // Counters returns the engine totals, consistent under the engine lock.
@@ -399,6 +402,7 @@ func (e *Engine) Counters() Counters {
 		FastPathBatched:       e.fp.batched,
 		FastPathCompiles:      e.fp.compiles,
 		FastPathEvictions:     e.fp.evictions,
+		FastPathResidentBytes: e.fp.residentBytes(),
 	}
 }
 

@@ -279,6 +279,14 @@ type flowCold struct {
 	excl     [fpExclCap]ipv6.Addr
 }
 
+// residentBytes is the memory held by the flow table's tag, hot and
+// cold arrays (allocated slots, live or not).
+func (fp *flowCache) residentBytes() uint64 {
+	return uint64(len(fp.tags))*uint64(unsafe.Sizeof(uint64(0))) +
+		uint64(len(fp.hot))*uint64(unsafe.Sizeof(flowHot{})) +
+		uint64(len(fp.cold))*uint64(unsafe.Sizeof(flowCold{}))
+}
+
 // Flow-table sizing: open-addressed, fixed slot count per generation,
 // grown ×4 up to fpMaxSlots when fill passes 40%. A lookup probes
 // fpProbe consecutive slots; insert evicts within the same window, so a

@@ -223,6 +223,7 @@ func (g *EngineGroup) Counters() Counters {
 		c.FastPathBatched += sc.FastPathBatched
 		c.FastPathCompiles += sc.FastPathCompiles
 		c.FastPathEvictions += sc.FastPathEvictions
+		c.FastPathResidentBytes += sc.FastPathResidentBytes
 	}
 	return c
 }

@@ -69,6 +69,7 @@ const (
 	SimFastPathBatched
 	SimFastPathCompiles
 	SimFastPathEvictions
+	SimFastPathResidentBytes
 	LoopProbes
 	LoopResponses
 	LoopConfirmed
@@ -110,6 +111,7 @@ var counterNames = [NumCounters]string{
 	SimFastPathBatched:       "sim.fastpath.batched",
 	SimFastPathCompiles:      "sim.fastpath.compiles",
 	SimFastPathEvictions:     "sim.fastpath.evictions",
+	SimFastPathResidentBytes: "sim.fastpath.resident_bytes",
 	LoopProbes:               "loop.probes",
 	LoopResponses:            "loop.responses",
 	LoopConfirmed:            "loop.confirmed",

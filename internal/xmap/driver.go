@@ -251,6 +251,7 @@ func engineCollector(counters func() netsim.Counters) telemetry.Collector {
 		add(telemetry.SimFastPathBatched, c.FastPathBatched)
 		add(telemetry.SimFastPathCompiles, c.FastPathCompiles)
 		add(telemetry.SimFastPathEvictions, c.FastPathEvictions)
+		add(telemetry.SimFastPathResidentBytes, c.FastPathResidentBytes)
 	}
 }
 

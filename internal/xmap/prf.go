@@ -4,6 +4,9 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+
+	"repro/internal/ipv6"
+	"repro/internal/uint128"
 )
 
 // subPRF derives each sub-prefix's pseudo-random material — the host IID
@@ -20,8 +23,9 @@ import (
 // free — validation only needs to reject accidental and replayed
 // traffic deterministically, and the adversary is the test suite. A
 // production raw-socket driver wanting HMAC-grade validation against
-// active spoofing swaps derive for a keyed MAC without touching the
-// scanner: the cache and call sites are unchanged.
+// active spoofing swaps derive for a keyed MAC without touching either
+// tool: the scanner and the loop detector both derive through
+// Derivation, so its cache and their call sites are unchanged.
 type subPRF struct {
 	k0, k1, k2, k3 uint64
 }
@@ -63,4 +67,73 @@ func (p subPRF) derive(hi, lo uint64) (iidHi, iidLo uint64, val uint32) {
 	iidLo = mix64(x ^ p.k3)
 	val = uint32(mix64(x + p.k0))
 	return
+}
+
+// Derivation is the per-window keyed derivation of probe targets and
+// their stateless validation values, shared by the scanner and the loop
+// detector. One subPRF call per sub-prefix feeds both the target IID
+// and the validation value, and the one-entry cache means a send path
+// that calls TargetFor and then Validation on the resulting target
+// derives once, not twice. A Derivation is not safe for concurrent use.
+type Derivation struct {
+	window       ipv6.Window
+	prf          subPRF
+	lastSub      ipv6.Addr
+	haveSub      bool
+	subHi, subLo uint64 // cached host-IID limbs for lastSub
+	subVal       uint32 // cached validation value for lastSub
+}
+
+// NewDerivation keys the derivation for window w with seed. Only
+// w.To matters to Validation, so a window of /128 sub-prefixes binds
+// each validation value to one exact address.
+func NewDerivation(w ipv6.Window, seed []byte) Derivation {
+	return Derivation{window: w, prf: newSubPRF(seed)}
+}
+
+// subDerive computes (or returns from the one-entry cache) the PRF
+// material for one sub-prefix base address.
+func (d *Derivation) subDerive(sub ipv6.Addr) {
+	if d.haveSub && sub == d.lastSub {
+		return
+	}
+	u := sub.Uint128()
+	d.subHi, d.subLo, d.subVal = d.prf.derive(u.Hi, u.Lo)
+	d.lastSub, d.haveSub = sub, true
+}
+
+// Validation derives the stateless validation value for dst. The value
+// is bound to the window sub-prefix containing dst (a sweep probes one
+// address per sub, so this loses no discrimination) and comes from the
+// same keyed derivation that generates the target IID.
+func (d *Derivation) Validation(dst ipv6.Addr) uint32 {
+	p, err := ipv6.NewPrefix(dst, d.window.To)
+	if err != nil {
+		return 0
+	}
+	d.subDerive(p.Addr())
+	return d.subVal
+}
+
+// TargetFor returns the probe address for a window index: the sub-prefix
+// base combined with a pseudo-random host part (the nonexistent-address
+// IID of Section III-B).
+func (d *Derivation) TargetFor(idx uint128.Uint128) (ipv6.Addr, error) {
+	sub, err := d.window.Sub(idx)
+	if err != nil {
+		return ipv6.Addr{}, err
+	}
+	hostBits := uint(128 - d.window.To)
+	if hostBits == 0 {
+		return sub.Addr(), nil
+	}
+	d.subDerive(sub.Addr())
+	host := uint128.New(d.subHi, d.subLo)
+	if hostBits < 128 {
+		host = host.And(uint128.Max.Rsh(128 - hostBits))
+	}
+	if host.IsZero() {
+		host = uint128.One // never probe the subnet-router anycast address
+	}
+	return ipv6.AddrFrom128(sub.Addr().Uint128().Or(host)), nil
 }

@@ -238,15 +238,8 @@ type Scanner struct {
 	trStream int
 	wd       *telemetry.Watchdog
 
-	// prf derives per-sub-prefix material; one derivation feeds both the
-	// target IID and the validation value, and the lastSub cache means
-	// the send path — TargetFor immediately followed by Validation on
-	// the resulting target — derives once, not twice.
-	prf          subPRF
-	lastSub      ipv6.Addr
-	haveSub      bool
-	subHi, subLo uint64 // cached host-IID limbs for lastSub
-	subVal       uint32 // cached validation value for lastSub
+	// der derives the targets and validation values of the scan window.
+	der Derivation
 	// validate is the bound Validation method, constructed once —
 	// passing s.Validation at a call site would allocate a closure per
 	// packet.
@@ -358,8 +351,8 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	s.tracer = cfg.Tracer
 	s.trStream = cfg.TraceStream
 	s.wd = cfg.Watchdog
-	s.prf = newSubPRF(cfg.Seed)
-	s.validate = s.Validation
+	s.der = NewDerivation(cfg.Window, cfg.Seed)
+	s.validate = s.der.Validation
 	s.probe = cfg.Probe
 	if s.probe == nil {
 		s.probe = &ICMPEchoProbe{}
@@ -443,54 +436,14 @@ func (s *Scanner) ResponderCounts() map[ipv6.Addr]uint64 {
 	return nil
 }
 
-// subDerive computes (or returns from the one-entry cache) the PRF
-// material for one sub-prefix base address.
-func (s *Scanner) subDerive(sub ipv6.Addr) {
-	if s.haveSub && sub == s.lastSub {
-		return
-	}
-	u := sub.Uint128()
-	s.subHi, s.subLo, s.subVal = s.prf.derive(u.Hi, u.Lo)
-	s.lastSub, s.haveSub = sub, true
-}
+// Validation derives the stateless validation value for dst (see
+// Derivation.Validation), exposed so cooperating tools can pre-compute
+// expected values.
+func (s *Scanner) Validation(dst ipv6.Addr) uint32 { return s.der.Validation(dst) }
 
-// Validation derives the stateless validation value for dst, exposed so
-// cooperating tools (the loop scanner) can pre-compute expected values.
-// The value is bound to the sub-prefix containing dst (a scan probes one
-// address per sub, so this loses no discrimination) and comes from the
-// same keyed derivation that generates the target IID — one PRF call
-// covers the whole send path.
-func (s *Scanner) Validation(dst ipv6.Addr) uint32 {
-	p, err := ipv6.NewPrefix(dst, s.cfg.Window.To)
-	if err != nil {
-		return 0
-	}
-	s.subDerive(p.Addr())
-	return s.subVal
-}
-
-// TargetFor returns the probe address for a window index: the sub-prefix
-// base combined with a pseudo-random host part (the nonexistent-address
-// IID of Section III-B).
-func (s *Scanner) TargetFor(idx uint128.Uint128) (ipv6.Addr, error) {
-	sub, err := s.cfg.Window.Sub(idx)
-	if err != nil {
-		return ipv6.Addr{}, err
-	}
-	hostBits := uint(128 - s.cfg.Window.To)
-	if hostBits == 0 {
-		return sub.Addr(), nil
-	}
-	s.subDerive(sub.Addr())
-	host := uint128.New(s.subHi, s.subLo)
-	if hostBits < 128 {
-		host = host.And(uint128.Max.Rsh(128 - hostBits))
-	}
-	if host.IsZero() {
-		host = uint128.One // never probe the subnet-router anycast address
-	}
-	return ipv6.AddrFrom128(sub.Addr().Uint128().Or(host)), nil
-}
+// TargetFor returns the probe address for a window index (see
+// Derivation.TargetFor).
+func (s *Scanner) TargetFor(idx uint128.Uint128) (ipv6.Addr, error) { return s.der.TargetFor(idx) }
 
 // maxSendStalls bounds how many consecutive zero-progress short writes
 // the scanner tolerates before declaring the rest of the burst failed —

@@ -304,11 +304,11 @@ func BenchmarkScannerThroughputInterpreted(b *testing.B) {
 }
 
 // BenchmarkScannerThroughputInstrumented is BenchmarkScannerThroughput
-// with the full telemetry stack attached — sharded counters, histograms,
-// the flight-recorder ring, the engine collector and a (quiet) monitor.
-// The contract it guards: instrumentation stays allocation-free and
-// within a few percent of the bare scanner (compare ns/op against
-// BenchmarkScannerThroughput in the same run).
+// with the telemetry registry attached — Stats published into the scan
+// counters once per drain window, the histograms and gauges, the engine
+// collector and a (quiet) monitor ticked per drain. The contract it
+// guards: instrumentation stays allocation-free; compare ns/op against
+// BenchmarkScannerThroughput in the same run for its cost.
 func BenchmarkScannerThroughputInstrumented(b *testing.B) {
 	dep, err := topo.Build(topo.Config{
 		Seed: 3, Scale: 0.0005, WindowWidth: 14, MaxDevicesPerISP: 4000, OnlyISPs: []int{13},

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,45 +152,6 @@ func TestMonitorLines(t *testing.T) {
 	}
 }
 
-// TestTraceDump: -trace writes a JSON flight-recorder dump whose event
-// stream covers every probe of a small scan.
-func TestTraceDump(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	runOnce(t, "-max-targets", "20", "-quiet", "-trace", path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Shards []struct {
-			Recorded uint64 `json:"recorded"`
-			Events   []struct {
-				Kind string `json:"kind"`
-				Addr string `json:"addr"`
-			} `json:"events"`
-		} `json:"shards"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Shards) != 1 {
-		t.Fatalf("trace has %d shards, want 1", len(doc.Shards))
-	}
-	kinds := map[string]int{}
-	for _, e := range doc.Shards[0].Events {
-		kinds[e.Kind]++
-		if e.Kind == "probe" && e.Addr == "" {
-			t.Error("probe event without address")
-		}
-	}
-	if kinds["probe"] != 20 {
-		t.Errorf("trace has %d probe events, want 20", kinds["probe"])
-	}
-	if kinds["reply"]+kinds["icmp-error"] == 0 {
-		t.Error("trace has no reply events")
-	}
-}
-
 // TestProbeTraceNDJSONDeterministic: the -trace-out NDJSON artifact of
 // a seeded scan is byte-identical across two identical runs (the
 // sampler is a seed-keyed PRF and every span stream has a single
@@ -229,6 +191,9 @@ func TestProbeTraceNDJSONDeterministic(t *testing.T) {
 		kinds[span.Kind]++
 		if span.Kind == "hop" && span.Node == "" {
 			t.Errorf("hop span without a node: %q", line)
+		}
+		if span.Kind == "sent" && span.Addr == "" {
+			t.Errorf("sent span without a target address: %q", line)
 		}
 	}
 	if kinds["sent"] != 40 {
@@ -375,5 +340,40 @@ func TestBatchFlag(t *testing.T) {
 	}
 	if sc["scan.sent"] != 200 {
 		t.Errorf("scan.sent = %d, want 200", sc["scan.sent"])
+	}
+}
+
+// TestParallelStatusMatchesSummary: under -parallel the registry's
+// scan.unique and scan.duplicates are the cross-shard dedup verdicts,
+// so the status JSON, the summary line and the output rows agree on
+// the responder count (shard-local filters each admit a responder
+// another shard already reported).
+func TestParallelStatusMatchesSummary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "status.json")
+	out, errOut := runOnce(t, "-parallel", "2", "-status-json", path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var unique uint64
+	i := strings.Index(errOut, "unique responders ")
+	if i < 0 {
+		t.Fatalf("no summary line in stderr:\n%s", errOut)
+	}
+	if _, err := fmt.Sscanf(errOut[i:], "unique responders %d", &unique); err != nil {
+		t.Fatalf("parsing summary %q: %v", errOut[i:], err)
+	}
+	rows := uint64(strings.Count(out, "\n")) - 1 // minus the CSV header
+	if got := snap.Counters["scan.unique"]; got != unique || got != rows {
+		t.Errorf("scan.unique = %d, summary says %d, output has %d rows", got, unique, rows)
+	}
+	if got, want := snap.Counters["scan.unique"]+snap.Counters["scan.duplicates"], snap.Counters["scan.received"]; got != want {
+		t.Errorf("scan.unique+scan.duplicates = %d, want scan.received %d", got, want)
 	}
 }

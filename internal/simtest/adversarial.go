@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ipv6"
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 	"repro/internal/uint128"
 	"repro/internal/xmap"
 )
@@ -99,6 +100,8 @@ type hostileRun struct {
 	// planted hostile region — the waste the defense must cut.
 	RegionProbes int
 	Blocked      []ipv6.Prefix
+	// Telemetry holds the run's telemetry-vs-Stats mismatches.
+	Telemetry []string
 }
 
 // hostileDrainEvery pins the oracle legs' drain cadence: the default 64
@@ -114,9 +117,10 @@ func runHostile(seed int64, hp HostileProfile, mutate func(*xmap.Config)) (hosti
 		return out, err
 	}
 	rec := &recordingDriver{Driver: f.Drv}
+	reg := telemetry.New(telemetry.Options{Shards: 1})
 	cfg := xmap.Config{
 		Window: f.Window, Seed: scanSeed(seed), DedupExact: true,
-		DrainEvery: hostileDrainEvery,
+		DrainEvery: hostileDrainEvery, Telemetry: reg,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -138,6 +142,7 @@ func runHostile(seed int64, hp HostileProfile, mutate func(*xmap.Config)) (hosti
 		}
 	}
 	out.Blocked = s.BlockedPrefixes()
+	out.Telemetry = publishProblems(out.Stats, reg.Snapshot())
 	return out, nil
 }
 
@@ -185,7 +190,8 @@ func RunHostileOracle(seed int64, hp HostileProfile) ([]string, error) {
 	}
 	truth := f.Truth()
 
-	var problems []string
+	problems := appendPrefixed(nil, "undefended: ", undefended.Telemetry)
+	problems = appendPrefixed(problems, "defended: ", defended.Telemetry)
 	// Recall on honest devices: the defense must never cost a true hit.
 	for a := range truth {
 		if !defended.Set[a] {
@@ -287,6 +293,7 @@ func RunHostileOracle(seed int64, hp HostileProfile) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		problems = appendPrefixed(problems, "shed: ", shed.Telemetry)
 		if shed.Stats.Shed == 0 {
 			problems = append(problems, "storm with ShedBudget=8 shed nothing")
 		}

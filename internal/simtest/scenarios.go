@@ -23,9 +23,9 @@ type DiscoveryRun struct {
 	ProbeDsts []ipv6.Addr
 	// Violations are the invariant-checker findings for the run.
 	Violations []string
-	// Events is the run's flight-recorder stream, attached to failure
-	// messages via AttachTrace.
-	Events []telemetry.Event
+	// Spans is the scanner's span stream at full sampling, attached to
+	// failure messages via AttachTrace.
+	Spans []telemetry.Span
 	// Snapshot is the run's merged telemetry view (scan, engine and
 	// injector counters in one document).
 	Snapshot *telemetry.Snapshot
@@ -43,12 +43,15 @@ func runDiscovery(seed int64, p FaultProfile, exact bool) (DiscoveryRun, error) 
 	f.Eng.SetFault(inj.Apply)
 	iv.Attach(f.Eng)
 	rec := &recordingDriver{Driver: f.Drv}
-	reg := telemetry.New(telemetry.Options{Shards: 1, TraceDepth: 512})
+	reg := telemetry.New(telemetry.Options{Shards: 1})
 	inj.RegisterTelemetry(reg)
 	f.Drv.RegisterTelemetry(reg)
+	// The tracer reaches the scanner only, never the engine, so the
+	// simulated network runs exactly as it would untraced.
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{ScanStreams: 1, Depth: 512})
 	s, err := xmap.New(xmap.Config{
 		Window: f.Window, Seed: scanSeed(seed), DedupExact: exact,
-		Telemetry: reg,
+		Telemetry: reg, Tracer: tracer,
 	}, rec)
 	if err != nil {
 		return out, err
@@ -63,7 +66,7 @@ func runDiscovery(seed int64, p FaultProfile, exact bool) (DiscoveryRun, error) 
 	out.Stats = stats
 	out.ProbeDsts = rec.dsts
 	out.Violations = iv.Violations()
-	out.Events = reg.Events()
+	out.Spans = tracer.AppendSpans(nil, 0)
 	out.Snapshot = reg.Snapshot()
 	return out, nil
 }
@@ -155,27 +158,47 @@ func RunDiscoveryScenario(seed int64, p FaultProfile) ([]string, error) {
 	if exact.Stats.Received != replay.Stats.Received || exact.Stats.Duplicates != replay.Stats.Duplicates {
 		problems = append(problems, "replay diverged in receive statistics")
 	}
-	// Oracle: the telemetry counters are a second, independently
-	// maintained account of the same run — they must agree with the
-	// scanner's Stats exactly.
+	problems = append(problems, publishProblems(exact.Stats, exact.Snapshot)...)
+	// A failing scenario carries the packet-level tail of the run.
+	problems = AttachTrace(problems, exact.Spans, 16)
+	return problems, nil
+}
+
+// publishProblems is the telemetry-vs-Stats oracle: the scan.* counters
+// are Stats published through the scanner's publish map, so after a run
+// each must equal its Stats field.
+func publishProblems(st xmap.Stats, snap *telemetry.Snapshot) []string {
+	var problems []string
 	for _, chk := range []struct {
 		counter telemetry.Counter
 		want    uint64
 	}{
-		{telemetry.ScanTargets, exact.Stats.Targets},
-		{telemetry.ScanSent, exact.Stats.Sent},
-		{telemetry.ScanReceived, exact.Stats.Received},
-		{telemetry.ScanDuplicates, exact.Stats.Duplicates},
-		{telemetry.ScanUnique, exact.Stats.Unique},
+		{telemetry.ScanTargets, st.Targets},
+		{telemetry.ScanSent, st.Sent},
+		{telemetry.ScanSendErrors, st.SendErrors},
+		{telemetry.ScanReceived, st.Received},
+		{telemetry.ScanInvalid, st.Invalid},
+		{telemetry.ScanDuplicates, st.Duplicates},
+		{telemetry.ScanUnique, st.Unique},
+		{telemetry.ScanBlocked, st.Blocked},
+		{telemetry.ScanRetried, st.Retried},
+		{telemetry.ScanRetryDropped, st.RetryDropped},
+		{telemetry.ScanRetryExhausted, st.RetryExhausted},
+		{telemetry.ScanRetryAbandoned, st.RetryAbandoned},
+		{telemetry.ScanRateUp, st.RateUp},
+		{telemetry.ScanRateDown, st.RateDown},
+		{telemetry.ScanAliasDetected, st.AliasDetected},
+		{telemetry.ScanAliasCooldown, st.AliasCooldown},
+		{telemetry.ScanAliasBlocked, st.AliasBlocked},
+		{telemetry.ScanQuarantined, st.Quarantined},
+		{telemetry.ScanShed, st.Shed},
 	} {
-		if got := exact.Snapshot.Counters[chk.counter.String()]; got != chk.want {
+		if got := snap.Counters[chk.counter.String()]; got != chk.want {
 			problems = append(problems, fmt.Sprintf(
 				"telemetry counter %s = %d, stats say %d", chk.counter, got, chk.want))
 		}
 	}
-	// A failing scenario carries the packet-level tail of the run.
-	problems = AttachTrace(problems, exact.Events, 16)
-	return problems, nil
+	return problems
 }
 
 // subnetRun is one inference attempt's comparable outcome.

@@ -26,9 +26,6 @@ type Snapshot struct {
 	// PerShard breaks the counters down by shard (only with >1 shard;
 	// zero slots are omitted per shard).
 	PerShard []map[string]uint64 `json:"per_shard,omitempty"`
-	// TraceRecorded is the total flight-recorder events ever recorded
-	// across shards.
-	TraceRecorded uint64 `json:"trace_recorded"`
 	// TraceSpans is the total lifecycle spans the attached span tracer
 	// recorded across streams (0 when no tracer is attached).
 	TraceSpans uint64 `json:"trace_spans"`
@@ -64,7 +61,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		for c := Counter(0); c < NumCounters; c++ {
 			totals[c] += sh.counters[c].Load()
 		}
-		s.TraceRecorded += sh.ring.Recorded()
 	}
 	if t := r.Tracer(); t != nil {
 		s.TraceSpans = t.SpansRecorded()

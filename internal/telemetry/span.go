@@ -13,8 +13,8 @@ import (
 // SpanKind labels one probe-lifecycle stage. Every stage already counted
 // by a Counter has a span twin, so a sampled target's trace reads as the
 // causal chain behind the aggregate numbers: sent → ring-enqueue → hop*
-// → reply/icmp-error → dedup, with retry, rate-gate, AIMD and the
-// defense verdicts interleaved where they fired.
+// → reply/icmp-error → dedup, with retry, rate-gate, AIMD, checkpoint
+// and the defense verdicts interleaved where they fired.
 type SpanKind uint8
 
 const (
@@ -31,6 +31,7 @@ const (
 	SpanQuarantine
 	SpanAliasCooldown
 	SpanShed
+	SpanCheckpoint
 )
 
 // spanKindNames is indexed by SpanKind; the zero kind is unused.
@@ -48,6 +49,7 @@ var spanKindNames = [...]string{
 	SpanQuarantine:    "quarantine",
 	SpanAliasCooldown: "alias-cooldown",
 	SpanShed:          "shed",
+	SpanCheckpoint:    "checkpoint",
 }
 
 func (k SpanKind) String() string {
@@ -128,9 +130,9 @@ func (s Sampler) SampleAddr(a [16]byte) bool {
 	return s.Sample(binary.BigEndian.Uint64(a[0:8]), binary.BigEndian.Uint64(a[8:16]))
 }
 
-// SpanRing is a bounded span recorder, the span twin of the
-// flight-recorder Ring: fixed power-of-two storage, oldest entries
-// overwritten, recording allocation-free behind one short mutex.
+// SpanRing is a bounded span recorder: fixed power-of-two storage,
+// oldest entries overwritten, recording allocation-free behind one
+// short mutex. One SpanRing per tracer stream is the event log.
 type SpanRing struct {
 	mu  sync.Mutex
 	buf []Span
@@ -467,6 +469,15 @@ func (t *Tracer) LastKind(stream int) SpanKind {
 		return 0
 	}
 	return t.stream(stream).lastKind()
+}
+
+// AppendSpans appends the spans stream i retains, oldest first, to dst
+// (dst unchanged on a nil tracer).
+func (t *Tracer) AppendSpans(dst []Span, stream int) []Span {
+	if t == nil {
+		return dst
+	}
+	return t.stream(stream).AppendSpans(dst)
 }
 
 // Streams returns the stream count.

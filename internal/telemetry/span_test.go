@@ -406,7 +406,7 @@ func TestWatchdogWithoutTracer(t *testing.T) {
 // TestSpanKindNamesComplete mirrors TestCounterNamesComplete for the
 // span and anomaly vocabularies.
 func TestSpanKindNamesComplete(t *testing.T) {
-	for k := SpanSent; k <= SpanShed; k++ {
+	for k := SpanSent; k <= SpanCheckpoint; k++ {
 		if k.String() == "unknown" {
 			t.Errorf("span kind %d has no name", k)
 		}
@@ -420,7 +420,7 @@ func TestSpanKindNamesComplete(t *testing.T) {
 		}
 	}
 	seen := map[string]bool{}
-	for k := SpanSent; k <= SpanShed; k++ {
+	for k := SpanSent; k <= SpanCheckpoint; k++ {
 		if seen[k.String()] {
 			t.Errorf("duplicate span kind name %q", k.String())
 		}

@@ -3,19 +3,19 @@
 // simulation engine, the retry/AIMD machinery and the loop scanner.
 //
 // The design follows the ZMap/XMap monitor-thread architecture the
-// paper's tooling inherits (Section IV): the hot path only increments
-// fixed-slot atomic counters and writes into preallocated rings, while
-// a separate reader — the status-line monitor, the expvar endpoint, a
-// snapshot dump — merges per-shard state on demand. Three pieces:
+// paper's tooling inherits (Section IV): the scan loops keep plain
+// counts and publish them into fixed-slot counters once per drain
+// window, while a separate reader — the status-line monitor, the expvar
+// endpoint, a snapshot dump — merges per-shard state on demand. Three
+// pieces:
 //
 //   - a metrics registry (Registry) of fixed-slot counters, gauges and
 //     power-of-two-bucket histograms, sharded per scan shard so
 //     concurrent scanner goroutines never contend, merged only at
 //     Snapshot time;
-//   - a flight recorder (Ring): a bounded per-shard ring of recent
-//     packet events — probe sent, reply, ICMPv6 error, retry, AIMD
-//     window change, checkpoint cut — dumpable as JSON on demand, on
-//     SIGQUIT, or when a simulation-test oracle fails;
+//   - the event log (Tracer): bounded per-stream rings of sampled
+//     probe-lifecycle spans plus anomaly exemplars, dumpable as JSON on
+//     demand, on SIGQUIT, or when a simulation-test oracle fails;
 //   - exposition: a deterministic Snapshot JSON document, a ZMap-style
 //     periodic status line (Monitor), and an optional net/http endpoint
 //     serving expvar and pprof (Serve).
@@ -190,14 +190,13 @@ func (h Hist) String() string {
 }
 
 // Shard is one scan shard's private metrics slice: fixed arrays of
-// atomics plus the shard's flight-recorder ring. A shard is written by
-// its scanner goroutine and read concurrently by snapshotters; all
-// methods are nil-receiver safe so detached code paths cost one branch.
+// atomics. A shard is written by its scanner goroutine and read
+// concurrently by snapshotters; all methods are nil-receiver safe so
+// detached code paths cost one branch.
 type Shard struct {
 	counters [NumCounters]atomic.Uint64
 	gauges   [NumGauges]atomic.Int64
 	hists    [NumHists]histogram
-	ring     *Ring
 }
 
 // Inc adds one to a counter slot.
@@ -244,42 +243,17 @@ func (s *Shard) Observe(h Hist, v uint64) {
 	}
 }
 
-// Trace records one flight-recorder event (a no-op when telemetry is
-// detached or tracing disabled).
-func (s *Shard) Trace(kind EventKind, clock uint64, addr [16]byte, arg uint64) {
-	if s != nil {
-		s.ring.Record(kind, clock, addr, arg)
-	}
-}
-
-// Ring returns the shard's flight-recorder ring (nil when telemetry is
-// detached or tracing disabled; Ring methods are nil-safe too).
-func (s *Shard) Ring() *Ring {
-	if s == nil {
-		return nil
-	}
-	return s.ring
-}
-
 // Collector folds externally maintained counts into a snapshot. Layers
 // that already serialize internally (the simulation engine counts under
 // its own lock) register a collector instead of paying atomics on their
 // hot path; collectors run on the snapshot reader, merge-on-read.
 type Collector func(add func(c Counter, n uint64))
 
-// DefaultTraceDepth is the per-shard flight-recorder capacity when
-// Options.TraceDepth is zero.
-const DefaultTraceDepth = 4096
-
 // Options parameterizes a Registry.
 type Options struct {
 	// Shards is the number of independent metric shards (one per scan
 	// shard; <=0 means 1).
 	Shards int
-	// TraceDepth is the per-shard flight-recorder ring capacity,
-	// rounded up to a power of two (0 = DefaultTraceDepth, <0 disables
-	// tracing).
-	TraceDepth int
 }
 
 // Registry owns the sharded metric state. All methods are safe for
@@ -299,17 +273,9 @@ func New(o Options) *Registry {
 	if n <= 0 {
 		n = 1
 	}
-	depth := o.TraceDepth
-	if depth == 0 {
-		depth = DefaultTraceDepth
-	}
 	r := &Registry{shards: make([]*Shard, n)}
 	for i := range r.shards {
-		sh := &Shard{}
-		if depth > 0 {
-			sh.ring = newRing(depth)
-		}
-		r.shards[i] = sh
+		r.shards[i] = &Shard{}
 	}
 	return r
 }
@@ -348,7 +314,7 @@ func (r *Registry) Register(c Collector) {
 
 // AttachTracer associates a span tracer with the registry, so the
 // snapshot, the monitor line, the /trace endpoint and the SIGQUIT dump
-// all report the sampled span streams alongside the flight recorder.
+// all report the sampled span streams.
 func (r *Registry) AttachTracer(t *Tracer) {
 	if r == nil {
 		return
@@ -367,17 +333,4 @@ func (r *Registry) Tracer() *Tracer {
 	r.tracerMu.Lock()
 	defer r.tracerMu.Unlock()
 	return r.tracer
-}
-
-// Events returns every shard's flight-recorder contents, shard by shard
-// in recording order (oldest first within a shard).
-func (r *Registry) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	var out []Event
-	for _, sh := range r.shards {
-		out = sh.ring.AppendEvents(out)
-	}
-	return out
 }

@@ -3,190 +3,15 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sync"
 
 	"repro/internal/ipv6"
 )
 
-// EventKind classifies one flight-recorder event.
-type EventKind uint8
-
-// Event kinds — the packet-level moments the recorder keeps.
-const (
-	// EvProbeSent: a fresh target was probed. Addr is the target, Arg
-	// the target ordinal.
-	EvProbeSent EventKind = iota + 1
-	// EvReply: a validated response arrived. Addr is the responder, Arg
-	// the arriving hop limit.
-	EvReply
-	// EvICMPError: a validated ICMPv6 error (unreachable / time
-	// exceeded) arrived — the periphery signal itself. Addr is the
-	// responder, Arg the arriving hop limit.
-	EvICMPError
-	// EvRetry: an unanswered target was re-probed. Addr is the target,
-	// Arg the attempt number.
-	EvRetry
-	// EvAIMD: the rate controller changed the send window. Arg is the
-	// new window.
-	EvAIMD
-	// EvCheckpoint: a resumable checkpoint was cut. Arg is the shard's
-	// consumed-target count.
-	EvCheckpoint
-)
-
-var eventKindNames = [...]string{
-	EvProbeSent:  "probe",
-	EvReply:      "reply",
-	EvICMPError:  "icmp-error",
-	EvRetry:      "retry",
-	EvAIMD:       "aimd-window",
-	EvCheckpoint: "checkpoint",
-}
-
-// String names the kind.
-func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) && eventKindNames[k] != "" {
-		return eventKindNames[k]
-	}
-	return "event(?)"
-}
-
-// Event is one recorded moment. The struct is fixed-size and
-// pointer-free so the ring is a single preallocated block the garbage
-// collector never walks.
-type Event struct {
-	// Seq is the shard-local record ordinal (monotone; wrapped-over
-	// events are gone but Seq exposes how many were recorded).
-	Seq uint64
-	// Clock is the probe clock at record time (probes sent so far).
-	Clock uint64
-	// Kind classifies the event.
-	Kind EventKind
-	// Addr is the raw address the event concerns (target or responder);
-	// all-zero when not applicable.
-	Addr [16]byte
-	// Arg is the kind-specific value (hop limit, attempt, window, ...).
-	Arg uint64
-}
-
-// eventJSON is Event's exposition form.
-type eventJSON struct {
-	Seq   uint64 `json:"seq"`
-	Clock uint64 `json:"clock"`
-	Kind  string `json:"kind"`
-	Addr  string `json:"addr,omitempty"`
-	Arg   uint64 `json:"arg"`
-}
-
-func (e Event) toJSON() eventJSON {
-	j := eventJSON{Seq: e.Seq, Clock: e.Clock, Kind: e.Kind.String(), Arg: e.Arg}
-	if e.Addr != ([16]byte{}) {
-		j.Addr = ipv6.AddrFromBytes(e.Addr[:]).String()
-	}
-	return j
-}
-
-// MarshalJSON implements json.Marshaler.
-func (e Event) MarshalJSON() ([]byte, error) { return json.Marshal(e.toJSON()) }
-
-// Ring is the flight recorder: a bounded ring of recent events. It is
-// single-block, fixed-capacity memory — recording a 2^40-probe scan
-// holds exactly the same bytes as recording twenty. Writers take one
-// uncontended mutex (each scan shard owns its ring, so the lock only
-// synchronizes with snapshot readers); Record never allocates.
-type Ring struct {
-	mu  sync.Mutex
-	buf []Event // power-of-two capacity
-	seq uint64  // next record ordinal; buf slot is seq&(len-1)
-}
-
-// newRing allocates a ring with capacity rounded up to a power of two.
-func newRing(depth int) *Ring {
-	cap := 1
-	for cap < depth {
-		cap <<= 1
-	}
-	return &Ring{buf: make([]Event, cap)}
-}
-
-// Cap returns the ring capacity (0 for a nil ring).
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
-// Record appends one event, overwriting the oldest once full.
-func (r *Ring) Record(kind EventKind, clock uint64, addr [16]byte, arg uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	e := &r.buf[r.seq&uint64(len(r.buf)-1)]
-	e.Seq, e.Clock, e.Kind, e.Addr, e.Arg = r.seq, clock, kind, addr, arg
-	r.seq++
-	r.mu.Unlock()
-}
-
-// Len returns how many events the ring currently holds.
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seq < uint64(len(r.buf)) {
-		return int(r.seq)
-	}
-	return len(r.buf)
-}
-
-// Recorded returns the total events ever recorded (including ones the
-// ring has since overwritten).
-func (r *Ring) Recorded() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// AppendEvents appends the ring contents, oldest first, to dst.
-func (r *Ring) AppendEvents(dst []Event) []Event {
-	if r == nil {
-		return dst
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.seq
-	start := uint64(0)
-	if n > uint64(len(r.buf)) {
-		start = n - uint64(len(r.buf))
-	}
-	for s := start; s < n; s++ {
-		dst = append(dst, r.buf[s&uint64(len(r.buf)-1)])
-	}
-	return dst
-}
-
-// Events returns the ring contents, oldest first.
-func (r *Ring) Events() []Event { return r.AppendEvents(nil) }
-
-// traceDoc is the JSON shape of a flight-recorder dump. Spans and
-// exemplars appear only when a span tracer is attached, so the bare
-// flight-recorder dump keeps its original shape.
+// traceDoc is the JSON shape of a trace dump: every span stream's
+// retained spans plus the captured anomaly exemplars.
 type traceDoc struct {
-	Shards    []shardTrace   `json:"shards"`
-	Spans     []streamTrace  `json:"spans,omitempty"`
-	Exemplars []exemplarJSON `json:"exemplars,omitempty"`
-}
-
-type shardTrace struct {
-	Shard    int         `json:"shard"`
-	Recorded uint64      `json:"recorded"`
-	Events   []eventJSON `json:"events"`
+	Spans     []streamTrace  `json:"spans"`
+	Exemplars []exemplarJSON `json:"exemplars"`
 }
 
 type streamTrace struct {
@@ -203,43 +28,34 @@ type exemplarJSON struct {
 	Spans  []spanJSON `json:"spans"`
 }
 
-// DumpTrace writes every shard's flight-recorder contents — plus, when
-// a span tracer is attached, every stream's sampled spans and the
-// captured anomaly exemplars — as one indented JSON document.
+// DumpTrace writes the attached span tracer's event log — every
+// stream's retained spans and the captured anomaly exemplars — as one
+// indented JSON document (empty lists when no tracer is attached).
 func (r *Registry) DumpTrace(w io.Writer) error {
-	doc := traceDoc{Shards: []shardTrace{}}
-	if r != nil {
-		for i, sh := range r.shards {
-			st := shardTrace{Shard: i, Recorded: sh.ring.Recorded(), Events: []eventJSON{}}
-			for _, e := range sh.ring.Events() {
-				st.Events = append(st.Events, e.toJSON())
+	doc := traceDoc{Spans: []streamTrace{}, Exemplars: []exemplarJSON{}}
+	if t := r.Tracer(); t != nil {
+		var scratch []Span
+		for i := 0; i < t.Streams(); i++ {
+			ring := t.stream(i)
+			st := streamTrace{Stream: i, Recorded: ring.Recorded(), Spans: []spanJSON{}}
+			scratch = ring.AppendSpans(scratch[:0])
+			for _, sp := range scratch {
+				st.Spans = append(st.Spans, spanToJSON(i, sp))
 			}
-			doc.Shards = append(doc.Shards, st)
+			doc.Spans = append(doc.Spans, st)
 		}
-		if t := r.Tracer(); t != nil {
-			var scratch []Span
-			for i := 0; i < t.Streams(); i++ {
-				ring := t.stream(i)
-				st := streamTrace{Stream: i, Recorded: ring.Recorded(), Spans: []spanJSON{}}
-				scratch = ring.AppendSpans(scratch[:0])
-				for _, sp := range scratch {
-					st.Spans = append(st.Spans, spanToJSON(i, sp))
-				}
-				doc.Spans = append(doc.Spans, st)
+		for _, ex := range t.Exemplars() {
+			ej := exemplarJSON{
+				Kind: ex.Kind.String(), Clock: ex.Clock, Stream: ex.Stream,
+				Spans: []spanJSON{},
 			}
-			for _, ex := range t.Exemplars() {
-				ej := exemplarJSON{
-					Kind: ex.Kind.String(), Clock: ex.Clock, Stream: ex.Stream,
-					Spans: []spanJSON{},
-				}
-				if ex.Addr != ([16]byte{}) {
-					ej.Addr = ipv6.AddrFromBytes(ex.Addr[:]).String()
-				}
-				for _, sp := range ex.Spans[:ex.N] {
-					ej.Spans = append(ej.Spans, spanToJSON(ex.Stream, sp))
-				}
-				doc.Exemplars = append(doc.Exemplars, ej)
+			if ex.Addr != ([16]byte{}) {
+				ej.Addr = ipv6.AddrFromBytes(ex.Addr[:]).String()
 			}
+			for _, sp := range ex.Spans[:ex.N] {
+				ej.Spans = append(ej.Spans, spanToJSON(ex.Stream, sp))
+			}
+			doc.Exemplars = append(doc.Exemplars, ej)
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -175,7 +175,6 @@ func (s *Scanner) aliasCool(key uint64, e *aliasEntry, stats *Stats) {
 	e.deadline = d.ticks + d.window
 	d.cooling = append(d.cooling, key)
 	stats.AliasDetected++
-	s.tel.Inc(telemetry.ScanAliasDetected)
 	if s.tracer != nil {
 		s.tracer.Anomaly(telemetry.AnomalyAlias, s.trStream, stats.Sent, d.prefixOf(key).Addr().Bytes())
 	}
@@ -198,7 +197,6 @@ func (s *Scanner) aliasBlock(key uint64, e *aliasEntry, stats *Stats) {
 	s.BlockRuntime(p)
 	d.blocked = append(d.blocked, p)
 	stats.AliasBlocked++
-	s.tel.Inc(telemetry.ScanAliasBlocked)
 }
 
 // aliasObserve feeds one validated response through the detector. It
@@ -286,7 +284,6 @@ func (s *Scanner) aliasObserve(resp *Response, stats *Stats) bool {
 // malformed-responder trigger and its cooldown evidence.
 func (s *Scanner) aliasQuarantine(raw []byte, stats *Stats) {
 	stats.Quarantined++
-	s.tel.Inc(telemetry.ScanQuarantined)
 	if len(raw) < wire.HeaderLen || raw[0]>>4 != 6 {
 		return
 	}
@@ -394,7 +391,6 @@ func (s *Scanner) shed(stats *Stats, releaser Releaser) {
 				if drop {
 					need--
 					stats.Shed++
-					s.tel.Inc(telemetry.ScanShed)
 					if releaser != nil {
 						s.recycle = append(s.recycle, raw)
 					}

@@ -21,6 +21,11 @@ type dedupStripe struct {
 	dups uint64
 }
 
+// crossDedup counts the cross-shard dedup verdicts on one shard's
+// responders. Only that shard's scanner goroutine touches it: the dedup
+// handler runs inside its drain, and its publish reads and resets it.
+type crossDedup struct{ unique, dups uint64 }
+
 // stripeFor maps a responder to its dedup stripe.
 func stripeFor(a ipv6.Addr) int {
 	u := a.Uint128()
@@ -110,13 +115,15 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 		total     Stats
 		firstErr  error
 	)
-	dedupHandler := func(r Response) {
+	// dedupHandler reports whether r is the first sighting of its
+	// responder across all shards.
+	dedupHandler := func(r Response) bool {
 		st := &stripes[stripeFor(r.Responder)]
 		st.mu.Lock()
 		if _, ok := st.seen[r.Responder]; ok {
 			st.dups++
 			st.mu.Unlock()
-			return
+			return false
 		}
 		st.seen[r.Responder] = struct{}{}
 		st.mu.Unlock()
@@ -125,6 +132,7 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 			handler(r)
 			handlerMu.Unlock()
 		}
+		return true
 	}
 
 	var wg sync.WaitGroup
@@ -174,10 +182,18 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 			}
 			return total, err
 		}
+		cross := &crossDedup{}
+		scanner.cross = cross
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats, err := scanner.Run(ctx, dedupHandler)
+			stats, err := scanner.Run(ctx, func(r Response) {
+				if dedupHandler(r) {
+					cross.unique++
+				} else {
+					cross.dups++
+				}
+			})
 			if ring != nil {
 				// Close drains anything still queued; transmissions the
 				// underlying driver then rejected surface as send errors
@@ -185,6 +201,7 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 				// TX-queue analogue).
 				ring.Close()
 				stats.SendErrors += ring.Failed()
+				scanner.publish(&stats)
 			}
 			mu.Lock()
 			defer mu.Unlock()

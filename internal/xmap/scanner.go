@@ -92,11 +92,12 @@ type Config struct {
 	// ResumeFrom, under ScanParallel, resumes a checkpoint written via
 	// CheckpointPath; its config digest is verified first.
 	ResumeFrom *Checkpoint
-	// Telemetry, when set, receives live counters, histograms and
-	// flight-recorder events as the scan runs; the scanner writes to the
-	// registry shard matching ShardIndex. The instrumentation is
-	// allocation-free and, when Telemetry is nil, costs one predictable
-	// branch per event.
+	// Telemetry, when set, receives the scan's counters, histograms and
+	// gauges; the scanner writes to the registry shard matching
+	// ShardIndex. The scan.* counters are Stats, published once per
+	// drain window, so a live read lags the scan by at most one window.
+	// The instrumentation is allocation-free and, when Telemetry is nil,
+	// costs one predictable branch per histogram or gauge update.
 	Telemetry *telemetry.Registry
 	// Monitor, when set, is ticked on the probe clock once per drain
 	// window, driving the periodic ZMap-style status line.
@@ -232,6 +233,11 @@ type Scanner struct {
 	aimd    *aimdController // nil unless Config.AIMD
 	alias   *aliasDetector  // nil unless Config.Defend
 	tel     *telemetry.Shard
+	// published is the Stats already added into tel's scan.* counters.
+	published Stats
+	// cross, under ScanParallel, counts the cross-shard dedup verdicts
+	// on this shard's responders since the last publish; nil otherwise.
+	cross *crossDedup
 
 	// Probe-lifecycle tracing (nil tracer/watchdog = detached).
 	tracer   *telemetry.Tracer
@@ -474,6 +480,10 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	} else {
 		it = s.cycle.Shard(s.cfg.ShardIndex, s.cfg.Shards)
 	}
+	// The registry counts this process's own work: a resumed scan's
+	// restored Stats are the publish baseline, not new counts.
+	s.published = stats
+	defer s.publish(&stats)
 	src := s.drv.SourceAddr()
 	s.wd.Stage(s.cfg.ShardIndex, "send")
 	defer s.wd.Stage(s.cfg.ShardIndex, telemetry.StageDone)
@@ -507,7 +517,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		for len(pkts) > 0 {
 			n, err := s.drv.SendBatch(pkts)
 			stats.Sent += uint64(n)
-			s.tel.Add(telemetry.ScanSent, uint64(n))
 			pkts = pkts[n:]
 			if len(pkts) == 0 {
 				return
@@ -515,7 +524,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			if err != nil {
 				// pkts[0] is the packet the driver rejected.
 				stats.SendErrors++
-				s.tel.Inc(telemetry.ScanSendErrors)
 				pkts = pkts[1:]
 				continue
 			}
@@ -523,7 +531,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			// whatever drains the packet layer can run, then retry.
 			if idle++; idle > maxSendStalls {
 				stats.SendErrors += uint64(len(pkts))
-				s.tel.Add(telemetry.ScanSendErrors, uint64(len(pkts)))
 				return
 			}
 			runtime.Gosched()
@@ -615,8 +622,10 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			st.Retry = s.retry.appendState(nil)
 		}
 		s.cfg.OnCheckpoint(st)
+		s.publish(&stats)
 		s.tel.Inc(telemetry.ScanCheckpoints)
-		s.tel.Trace(telemetry.EvCheckpoint, stats.Sent, zeroAddr, stats.Targets)
+		// A cut concerns every target, so its span is recorded unsampled.
+		s.tracer.Span(s.trStream, telemetry.SpanCheckpoint, stats.Sent, zeroAddr, stats.Targets)
 	}
 	// pumpDue reports whether the send window should close now: it is
 	// full, or a checkpoint interval expired (a checkpoint needs the
@@ -642,7 +651,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			}
 			send(pkt)
 			stats.AliasCooldown++
-			s.tel.Inc(telemetry.ScanAliasCooldown)
 			traceSpan(telemetry.SpanAliasCooldown, dst, 0)
 		}
 		flush()
@@ -666,21 +674,15 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		sinceDrain = 0
 		if s.aimd != nil {
 			prevWindow := window
-			prevUp, prevDown := stats.RateUp, stats.RateDown
 			window = s.aimd.update(stats.Sent-lastSent, stats.Received-lastRecv)
 			lastSent, lastRecv = stats.Sent, stats.Received
 			stats.RateUp = baseUp + s.aimd.ups
 			stats.RateDown = baseDown + s.aimd.downs
-			s.tel.Add(telemetry.ScanRateUp, stats.RateUp-prevUp)
-			s.tel.Add(telemetry.ScanRateDown, stats.RateDown-prevDown)
 			if window != prevWindow {
-				s.tel.Trace(telemetry.EvAIMD, stats.Sent, zeroAddr, uint64(window))
 				s.tel.SetGauge(telemetry.GaugeWindow, int64(window))
 				// Window changes are rare and concern every target, so the
 				// span is recorded unsampled.
-				if s.tracer != nil {
-					s.tracer.Span(s.trStream, telemetry.SpanAIMD, stats.Sent, zeroAddr, uint64(window))
-				}
+				s.tracer.Span(s.trStream, telemetry.SpanAIMD, stats.Sent, zeroAddr, uint64(window))
 			}
 		}
 		if s.retry != nil {
@@ -690,6 +692,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			emit(false)
 			nextCkpt = stats.Targets + s.cfg.CheckpointEvery
 		}
+		s.publish(&stats)
 		s.cfg.Monitor.Tick()
 	}
 	// sendRetry re-probes a due entry (one probe, not ProbesPerTarget
@@ -704,12 +707,9 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		sinceDrain++
 		e.attempts++
 		e.due = stats.Sent + uint64(s.cfg.RetryTimeout)<<(e.attempts-1)
-		s.tel.Inc(telemetry.ScanRetried)
-		s.tel.Trace(telemetry.EvRetry, stats.Sent, e.dst.Bytes(), uint64(e.attempts))
 		traceSpan(telemetry.SpanRetry, e.dst, uint64(e.attempts))
 		if !s.retry.push(e) {
 			stats.RetryDropped++
-			s.tel.Inc(telemetry.ScanRetryDropped)
 		}
 		return nil
 	}
@@ -738,7 +738,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 				}
 				if int(e.attempts) >= 1+s.cfg.Retries {
 					stats.RetryExhausted++
-					s.tel.Inc(telemetry.ScanRetryExhausted)
 					s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
 					continue
 				}
@@ -768,7 +767,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		}
 		if s.skipTarget(target) {
 			stats.Blocked++
-			s.tel.Inc(telemetry.ScanBlocked)
 			continue
 		}
 		pkt, err := buildProbe(target)
@@ -788,13 +786,10 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 				attempts: 1,
 			}) {
 				stats.RetryDropped++
-				s.tel.Inc(telemetry.ScanRetryDropped)
 			}
 		}
 		stats.Targets++
 		sinceDrain++
-		s.tel.Inc(telemetry.ScanTargets)
-		s.tel.Trace(telemetry.EvProbeSent, stats.Sent, target.Bytes(), stats.Targets)
 		traceSpan(telemetry.SpanSent, target, stats.Targets)
 		if pumpDue() {
 			pump()
@@ -825,7 +820,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			}
 			if int(e.attempts) >= 1+s.cfg.Retries {
 				stats.RetryExhausted++
-				s.tel.Inc(telemetry.ScanRetryExhausted)
 				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
 				continue
 			}
@@ -845,11 +839,9 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			}
 			if int(e.attempts) >= 1+s.cfg.Retries {
 				stats.RetryExhausted++
-				s.tel.Inc(telemetry.ScanRetryExhausted)
 				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
 			} else {
 				stats.RetryAbandoned++
-				s.tel.Inc(telemetry.ScanRetryAbandoned)
 			}
 		}
 		s.tel.SetGauge(telemetry.GaugeRetryPending, 0)
@@ -857,6 +849,46 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	emit(ranOut)
 	stats.Elapsed = priorElapsed + time.Since(start)
 	return stats, nil
+}
+
+// publish adds the change in each Stats counter since the last publish
+// into the registry shard's matching scan.* slot. It is the only writer
+// of the slots that mirror Stats: the scanner keeps its counts in Stats
+// and publishes once per drain window, at checkpoints and when Run
+// returns. Adding deltas keeps several scanners sharing one registry
+// shard correct.
+func (s *Scanner) publish(st *Stats) {
+	if s.tel == nil {
+		return
+	}
+	p := &s.published
+	unique, dups := st.Unique-p.Unique, st.Duplicates-p.Duplicates
+	if s.cross != nil {
+		// Under ScanParallel, uniqueness is the cross-shard verdict: a
+		// responder first seen by another shard is a duplicate here.
+		unique, dups = s.cross.unique, dups+s.cross.dups
+		*s.cross = crossDedup{}
+	}
+	s.tel.Add(telemetry.ScanTargets, st.Targets-p.Targets)
+	s.tel.Add(telemetry.ScanSent, st.Sent-p.Sent)
+	s.tel.Add(telemetry.ScanSendErrors, st.SendErrors-p.SendErrors)
+	s.tel.Add(telemetry.ScanReceived, st.Received-p.Received)
+	s.tel.Add(telemetry.ScanInvalid, st.Invalid-p.Invalid)
+	s.tel.Add(telemetry.ScanDuplicates, dups)
+	s.tel.Add(telemetry.ScanUnique, unique)
+	s.tel.Add(telemetry.ScanBlocked, st.Blocked-p.Blocked)
+	s.tel.Add(telemetry.ScanRetried, st.Retried-p.Retried)
+	s.tel.Add(telemetry.ScanRetryDropped, st.RetryDropped-p.RetryDropped)
+	s.tel.Add(telemetry.ScanRetryExhausted, st.RetryExhausted-p.RetryExhausted)
+	s.tel.Add(telemetry.ScanRetryAbandoned, st.RetryAbandoned-p.RetryAbandoned)
+	s.tel.Add(telemetry.ScanRateUp, st.RateUp-p.RateUp)
+	s.tel.Add(telemetry.ScanRateDown, st.RateDown-p.RateDown)
+	s.tel.Add(telemetry.ScanAliasDetected, st.AliasDetected-p.AliasDetected)
+	s.tel.Add(telemetry.ScanAliasCooldown, st.AliasCooldown-p.AliasCooldown)
+	s.tel.Add(telemetry.ScanAliasBlocked, st.AliasBlocked-p.AliasBlocked)
+	s.tel.Add(telemetry.ScanQuarantined, st.Quarantined-p.Quarantined)
+	s.tel.Add(telemetry.ScanShed, st.Shed-p.Shed)
+	*p = *st
 }
 
 // zeroAddr is the all-zero trace address for events that concern no
@@ -912,30 +944,23 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 		}
 		if !ok {
 			stats.Invalid++
-			s.tel.Inc(telemetry.ScanInvalid)
 			if s.alias != nil {
 				s.aliasQuarantine(raw, stats)
 			}
 			continue
 		}
 		stats.Received++
-		s.tel.Inc(telemetry.ScanReceived)
 		var hop uint64
 		if parsed {
 			hop = uint64(s.sum.IP.HopLimit)
 			s.tel.Observe(telemetry.HistReplyHopLimit, hop)
 		}
-		ev := telemetry.EvReply
-		if resp.Kind == KindDestUnreach || resp.Kind == KindTimeExceeded {
-			ev = telemetry.EvICMPError
-		}
-		s.tel.Trace(ev, stats.Sent, resp.Responder.Bytes(), hop)
 		// Spans key by the probed target (not the responder) so the
 		// reply stitches onto the target's sent/hop spans.
 		if s.tracer != nil {
 			if b := resp.ProbeDst.Bytes(); s.tracer.SampleAddr(b) {
 				kind := telemetry.SpanReply
-				if ev == telemetry.EvICMPError {
+				if resp.Kind == KindDestUnreach || resp.Kind == KindTimeExceeded {
 					kind = telemetry.SpanICMPError
 				}
 				s.tracer.Span(s.trStream, kind, stats.Sent, b, hop)
@@ -959,7 +984,6 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 		}
 		if !s.dedup.checkAdd(resp.Responder) {
 			stats.Duplicates++
-			s.tel.Inc(telemetry.ScanDuplicates)
 			if s.tracer != nil {
 				if b := resp.ProbeDst.Bytes(); s.tracer.SampleAddr(b) {
 					s.tracer.Span(s.trStream, telemetry.SpanDedup, stats.Sent, b, 0)
@@ -968,7 +992,6 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 			continue
 		}
 		stats.Unique++
-		s.tel.Inc(telemetry.ScanUnique)
 		if handler != nil {
 			handler(resp)
 		}

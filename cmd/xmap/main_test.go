@@ -377,3 +377,38 @@ func TestParallelStatusMatchesSummary(t *testing.T) {
 		t.Errorf("scan.unique+scan.duplicates = %d, want scan.received %d", got, want)
 	}
 }
+
+// TestParallelCountersDeterministic: under -parallel the shards share
+// one simulated driver and drain each other's replies, so the per-shard
+// split of the scan counters may move between identical seeded runs, but
+// the merged counters may not.
+func TestParallelCountersDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	counters := func(name string) map[string]uint64 {
+		path := filepath.Join(dir, name)
+		runOnce(t, "-max-targets", "2048", "-quiet", "-parallel", "2", "-status-json", path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Counters map[string]uint64 `json:"counters"`
+		}
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Counters
+	}
+	a, b := counters("a.json"), counters("b.json")
+	if len(a) == 0 || a["scan.sent"] == 0 {
+		t.Fatalf("no scan counters in the status JSON: %v", a)
+	}
+	for k, v := range a {
+		if b[k] != v {
+			t.Errorf("merged counter %s: %d vs %d across identical runs", k, v, b[k])
+		}
+	}
+	if len(a) != len(b) {
+		t.Errorf("counter sets differ: %d vs %d keys", len(a), len(b))
+	}
+}

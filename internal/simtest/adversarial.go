@@ -169,12 +169,16 @@ func pollution(set map[ipv6.Addr]bool, truth map[ipv6.Addr]bool) int {
 //   - every prefix the detector blocklists is a planted hostile region
 //     (precision 1.0 — an honest prefix is never blocklisted) and every
 //     planted region is caught (recall);
-//   - on the honest baseline the defenses are inert: no detections, no
-//     quarantines, no blocklisting, and a probe-for-probe identical
-//     scan to the undefended leg;
 //   - under the storm model a starved receive budget forces overload
 //     shedding without costing a single true hit.
+//
+// The honest baseline — defenses inert, the scan unchanged — is the
+// equivalence matrix's defend entry, under every fault profile; here it
+// is skipped.
 func RunHostileOracle(seed int64, hp HostileProfile) ([]string, error) {
+	if hp.Mode == 0 {
+		return nil, nil
+	}
 	undefended, err := runHostile(seed, hp, nil)
 	if err != nil {
 		return nil, err
@@ -213,31 +217,6 @@ func RunHostileOracle(seed int64, hp HostileProfile) ([]string, error) {
 	}
 	if len(undefended.Blocked) != 0 || undefended.Stats.AliasDetected != 0 {
 		problems = append(problems, "undefended leg ran the alias detector")
-	}
-
-	if hp.Mode == 0 {
-		// Honest baseline: defenses must be inert and invisible.
-		d := defended.Stats
-		if d.AliasDetected != 0 || d.AliasBlocked != 0 || d.Quarantined != 0 || d.Shed != 0 {
-			problems = append(problems, fmt.Sprintf(
-				"honest scan tripped defenses: detected=%d blocked=%d quarantined=%d shed=%d",
-				d.AliasDetected, d.AliasBlocked, d.Quarantined, d.Shed))
-		}
-		if d.Sent != undefended.Stats.Sent {
-			problems = append(problems, fmt.Sprintf(
-				"honest defended scan sent %d probes, undefended %d", d.Sent, undefended.Stats.Sent))
-		}
-		for a := range undefended.Set {
-			if !defended.Set[a] {
-				problems = append(problems, fmt.Sprintf("honest defended scan missed %s", a))
-			}
-		}
-		for a := range defended.Set {
-			if !undefended.Set[a] {
-				problems = append(problems, fmt.Sprintf("honest defended scan invented %s", a))
-			}
-		}
-		return problems, nil
 	}
 
 	// Detector recall: every planted region ends up blocklisted.

@@ -1,17 +1,12 @@
 package simtest
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"time"
 
 	"repro/internal/ipv6"
 	"repro/internal/lpm"
-	"repro/internal/topo"
 	"repro/internal/uint128"
-	"repro/internal/wire"
 	"repro/internal/xmap"
 )
 
@@ -125,207 +120,6 @@ func RandomRouteOracle(seed int64) []string {
 		}
 	}
 	return problems
-}
-
-// RunUDPOracle runs the same seeded scan through the lock-step sim
-// driver and through the loopback UDP driver (bridged into an identical
-// topology) and diffs the responder sets — the sim-vs-real-socket
-// differential oracle. No faults are injected: the two legs must agree
-// exactly. Invariants stay attached on both engines; on the UDP leg the
-// tap fires on the responder goroutine, exercising the checker under
-// the race detector.
-func RunUDPOracle(seed int64) ([]string, error) {
-	var problems []string
-
-	simFix, err := BuildISPFixture(seed)
-	if err != nil {
-		return nil, err
-	}
-	simInv := NewInvariants(nil)
-	simInv.Attach(simFix.Eng)
-	simScanner, err := xmap.New(xmap.Config{Window: simFix.Window, Seed: scanSeed(seed), DedupExact: true}, simFix.Drv)
-	if err != nil {
-		return nil, err
-	}
-	simSet := map[ipv6.Addr]bool{}
-	if _, err := simScanner.Run(context.Background(), func(r xmap.Response) { simSet[r.Responder] = true }); err != nil {
-		return nil, err
-	}
-	problems = appendPrefixed(problems, "sim leg: ", simInv.Violations())
-
-	udpFix, err := BuildISPFixture(seed)
-	if err != nil {
-		return nil, err
-	}
-	udpInv := NewInvariants(nil)
-	udpInv.Attach(udpFix.Eng)
-	handler := func(pkt []byte) [][]byte {
-		udpFix.Eng.Inject(udpFix.Edge.Iface(), pkt)
-		return udpFix.Edge.Drain()
-	}
-	drv, err := xmap.NewUDPDriver(udpFix.Edge.Addr(), handler)
-	if err != nil {
-		return nil, err
-	}
-	defer drv.Close()
-	udpScanner, err := xmap.New(xmap.Config{
-		Window: udpFix.Window, Seed: scanSeed(seed), DedupExact: true, DrainEvery: 16,
-	}, drv)
-	if err != nil {
-		return nil, err
-	}
-	udpSet := map[ipv6.Addr]bool{}
-	if _, err := udpScanner.Run(context.Background(), func(r xmap.Response) { udpSet[r.Responder] = true }); err != nil {
-		return nil, err
-	}
-	// UDP delivery is asynchronous: stragglers may still be in flight
-	// after Run returns. Re-drain until the sets agree or we time out.
-	deadline := time.Now().Add(20 * time.Second)
-	for len(udpSet) < len(simSet) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		for _, raw := range drv.Recv() {
-			sum, err := wire.ParsePacket(raw)
-			if err != nil {
-				continue
-			}
-			if resp, ok := (&xmap.ICMPEchoProbe{}).Classify(sum, udpScanner.Validation); ok {
-				udpSet[resp.Responder] = true
-			}
-		}
-	}
-	problems = appendPrefixed(problems, "udp leg: ", udpInv.Violations())
-
-	for a := range simSet {
-		if !udpSet[a] {
-			problems = append(problems, fmt.Sprintf("udp driver missed responder %s", a))
-		}
-	}
-	for a := range udpSet {
-		if !simSet[a] {
-			problems = append(problems, fmt.Sprintf("udp driver found phantom responder %s", a))
-		}
-	}
-	return problems, nil
-}
-
-// RunShardOracle runs the same seeded scan against the classic
-// single-engine deployment and a sharded EngineGroup deployment of the
-// same topology, and diffs everything the sharding must not change:
-// the unique responder set, probe counts, total simulation events and
-// per-subscriber access-link packet totals. The sharded leg scans
-// through ScanParallel so shards genuinely pump concurrently. No faults
-// or loss are configured — on a lossless topology the outcome is
-// independent of injection interleaving, which is exactly the property
-// the oracle pins (per-shard replicas preserve path lengths, so even
-// event totals must match). Invariant checkers stay attached on every
-// engine; under -race this doubles as a concurrency check on the
-// group's tap path.
-func RunShardOracle(seed int64, shards int) ([]string, error) {
-	var problems []string
-	cfg := topo.Config{
-		Seed:             seed,
-		Scale:            0.0005,
-		WindowWidth:      8,
-		MaxDevicesPerISP: 25,
-		OnlyISPs:         []int{1, 5, 12, 13},
-	}
-
-	single, err := topo.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Shards = shards
-	sharded, err := topo.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	singleInv := NewInvariants(nil)
-	singleInv.Attach(single.Engine)
-	shardedInv := NewInvariants(nil)
-	sharded.Group.SetTap(shardedInv.Tap)
-
-	var (
-		singleStats, shardedStats xmap.Stats
-		singleSet                 = map[ipv6.Addr]bool{}
-		shardedSet                = map[ipv6.Addr]bool{}
-	)
-	for _, isp := range single.ISPs {
-		s, err := xmap.New(xmap.Config{Window: isp.Window, Seed: scanSeed(seed)},
-			xmap.NewSimDriver(single.Engine, single.Edge))
-		if err != nil {
-			return nil, err
-		}
-		stats, err := s.Run(context.Background(), func(r xmap.Response) { singleSet[r.Responder] = true })
-		if err != nil {
-			return nil, err
-		}
-		singleStats.Targets += stats.Targets
-		singleStats.Sent += stats.Sent
-	}
-	var mu sync.Mutex
-	drv := xmap.NewGroupDriver(sharded.Group, sharded.Edge)
-	for _, isp := range sharded.ISPs {
-		stats, err := xmap.ScanParallel(context.Background(),
-			xmap.Config{Window: isp.Window, Seed: scanSeed(seed)}, drv, shards,
-			func(r xmap.Response) {
-				mu.Lock()
-				shardedSet[r.Responder] = true
-				mu.Unlock()
-			})
-		if err != nil {
-			return nil, err
-		}
-		shardedStats.Targets += stats.Targets
-		shardedStats.Sent += stats.Sent
-	}
-
-	problems = appendPrefixed(problems, "single leg: ", singleInv.Violations())
-	problems = appendPrefixed(problems, "sharded leg: ", shardedInv.Violations())
-
-	if singleStats.Targets != shardedStats.Targets {
-		problems = append(problems, fmt.Sprintf("targets diverge: single %d, sharded %d",
-			singleStats.Targets, shardedStats.Targets))
-	}
-	if singleStats.Sent != shardedStats.Sent {
-		problems = append(problems, fmt.Sprintf("sent diverges: single %d, sharded %d",
-			singleStats.Sent, shardedStats.Sent))
-	}
-	for a := range singleSet {
-		if !shardedSet[a] {
-			problems = append(problems, fmt.Sprintf("sharded scan missed responder %s", a))
-		}
-	}
-	for a := range shardedSet {
-		if !singleSet[a] {
-			problems = append(problems, fmt.Sprintf("sharded scan found phantom responder %s", a))
-		}
-	}
-	// Path lengths are preserved by the per-shard spine replicas, so the
-	// total number of simulated events must agree exactly.
-	if a, b := single.Engine.Steps(), sharded.Group.Steps(); a != b {
-		problems = append(problems, fmt.Sprintf("event totals diverge: single %d, sharded %d", a, b))
-	}
-	// Per-subscriber link totals: the same probes must have crossed each
-	// device's access link, whatever shard served it.
-	singleDevs, shardedDevs := single.Devices(), sharded.Devices()
-	if len(singleDevs) != len(shardedDevs) {
-		problems = append(problems, fmt.Sprintf("device counts diverge: single %d, sharded %d",
-			len(singleDevs), len(shardedDevs)))
-		return problems, nil
-	}
-	for i, sd := range singleDevs {
-		hd := shardedDevs[i]
-		if sd.WANAddr != hd.WANAddr {
-			problems = append(problems, fmt.Sprintf("device %d diverges: %s vs %s", i, sd.WANAddr, hd.WANAddr))
-			continue
-		}
-		if a, b := sd.AccessLink.TotalPackets(), hd.AccessLink.TotalPackets(); a != b {
-			problems = append(problems, fmt.Sprintf(
-				"access-link totals diverge for %s: single %d, sharded %d", sd.WANAddr, a, b))
-		}
-	}
-	return problems, nil
 }
 
 func appendPrefixed(dst []string, prefix string, src []string) []string {

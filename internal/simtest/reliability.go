@@ -4,13 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/ipv6"
+	"repro/internal/telemetry"
 	"repro/internal/xmap"
 )
-
-// resumeCheckpointEvery is the checkpoint interval the resume oracle
-// scans with; the re-sent-probe bound is stated against it.
-const resumeCheckpointEvery = 32
 
 // reliabilityFixture is one seeded fixture with the profile's injector
 // installed — every oracle leg starts from an identical world. An
@@ -30,129 +26,6 @@ func reliabilityFixture(seed int64, p FaultProfile) (*ISPFixture, error) {
 	return f, nil
 }
 
-// RunResumeOracle is the kill-and-resume differential oracle: a scan
-// killed mid-cycle and resumed from its last periodic checkpoint must
-// report exactly the responder set of an uninterrupted scan, and the
-// crash may cost at most one checkpoint interval of re-sent probes.
-// It applies to lossless profiles (duplication and reordering included):
-// under loss, responses to pre-crash probes are genuinely gone, so set
-// equality is not a sound oracle there — the adaptive oracle covers the
-// lossy profiles instead.
-//
-// The killed and resumed legs scan through a RingDriver, so the oracle
-// also covers the pipelined transmission path's crash safety: probes
-// sitting in the SPSC ring are flushed before every checkpoint (the
-// ring must be empty at each emission — asserted directly) and anything
-// between the last checkpoint and the kill is re-sent on resume, never
-// lost. The probe-count bound then proves the flush doesn't over-send
-// either.
-func RunResumeOracle(seed int64, p FaultProfile) ([]string, error) {
-	if !p.Lossless() {
-		return nil, nil
-	}
-	var problems []string
-	cfgFor := func(f *ISPFixture) xmap.Config {
-		return xmap.Config{Window: f.Window, Seed: scanSeed(seed), DedupExact: true}
-	}
-
-	// Reference leg: the uninterrupted scan, direct driver.
-	fA, err := reliabilityFixture(seed, p)
-	if err != nil {
-		return nil, err
-	}
-	sA, err := xmap.New(cfgFor(fA), fA.Drv)
-	if err != nil {
-		return nil, err
-	}
-	refSet := map[ipv6.Addr]bool{}
-	refStats, err := sA.Run(context.Background(), func(r xmap.Response) { refSet[r.Responder] = true })
-	if err != nil {
-		return nil, err
-	}
-
-	// Kill leg: identical world, killed after a seed-varied number of
-	// targets with periodic checkpoints, scanning through the ring.
-	// Everything after the last periodic state is discarded, as a real
-	// kill -9 would.
-	killAt := uint64(48 + (seed*31)%150)
-	fB, err := reliabilityFixture(seed, p)
-	if err != nil {
-		return nil, err
-	}
-	ringKill := xmap.NewRingDriver(fB.Drv, resumeCheckpointEvery)
-	var states []xmap.ShardState
-	cfgKill := cfgFor(fB)
-	cfgKill.MaxTargets = killAt
-	cfgKill.CheckpointEvery = resumeCheckpointEvery
-	cfgKill.OnCheckpoint = func(st xmap.ShardState) {
-		if n := ringKill.Pending(); n != 0 {
-			problems = append(problems, fmt.Sprintf(
-				"checkpoint at %d targets emitted with %d probes still in the ring", st.Stats.Targets, n))
-		}
-		states = append(states, st)
-	}
-	sKill, err := xmap.New(cfgKill, ringKill)
-	if err != nil {
-		return nil, err
-	}
-	union := map[ipv6.Addr]bool{}
-	killStats, err := sKill.Run(context.Background(), func(r xmap.Response) { union[r.Responder] = true })
-	ringKill.Close()
-	if err != nil {
-		return nil, err
-	}
-	if len(states) < 2 {
-		return []string{fmt.Sprintf("kill at %d targets emitted only %d checkpoint states", killAt, len(states))}, nil
-	}
-	crash := states[len(states)-2]
-
-	// Resume leg: continue on the same (still-running) network from the
-	// last periodic checkpoint, again through a fresh ring — as a
-	// restarted process would build one.
-	ringResume := xmap.NewRingDriver(fB.Drv, resumeCheckpointEvery)
-	cfgResume := cfgFor(fB)
-	cfgResume.Resume = &crash
-	sResume, err := xmap.New(cfgResume, ringResume)
-	if err != nil {
-		return nil, err
-	}
-	resumeStats, err := sResume.Run(context.Background(), func(r xmap.Response) { union[r.Responder] = true })
-	ringResume.Close()
-	if err != nil {
-		return nil, err
-	}
-	for a := range refSet {
-		if !union[a] {
-			problems = append(problems, fmt.Sprintf("responder %s lost across kill@%d/resume@%d",
-				a, killAt, crash.Stats.Targets))
-		}
-	}
-	for a := range union {
-		if !refSet[a] {
-			problems = append(problems, fmt.Sprintf("kill/resume invented responder %s", a))
-		}
-	}
-	if resumeStats.Targets != refStats.Targets {
-		problems = append(problems, fmt.Sprintf(
-			"resumed scan covered %d cumulative targets, uninterrupted %d", resumeStats.Targets, refStats.Targets))
-	}
-	// Crash cost: targets re-executed after resume are those between the
-	// checkpoint and the kill — at most one checkpoint interval.
-	if wasted := killStats.Targets - crash.Stats.Targets; wasted > resumeCheckpointEvery {
-		problems = append(problems, fmt.Sprintf(
-			"crash re-sent %d targets, more than one checkpoint interval (%d)", wasted, resumeCheckpointEvery))
-	}
-	// Probe-count bound: both legs together send at most one checkpoint
-	// interval more than the uninterrupted scan.
-	totalSent := killStats.Sent + resumeStats.Sent - crash.Stats.Sent
-	if totalSent > refStats.Sent+resumeCheckpointEvery {
-		problems = append(problems, fmt.Sprintf(
-			"kill+resume sent %d probes, uninterrupted %d (+%d allowed)",
-			totalSent, refStats.Sent, resumeCheckpointEvery))
-	}
-	return problems, nil
-}
-
 // RunAdaptiveOracle compares loss-recovery strategies under a lossy
 // profile: the blind fixed multiplier (ProbesPerTarget 3, ZMap's -P)
 // against the adaptive reliability layer (retry scheduler + AIMD). The
@@ -162,18 +35,23 @@ func RunAdaptiveOracle(seed int64, p FaultProfile) ([]string, error) {
 	if p.Lossless() {
 		return nil, nil
 	}
+	var problems []string
 	run := func(mutate func(*xmap.Config)) (xmap.Stats, error) {
 		f, err := reliabilityFixture(seed, p)
 		if err != nil {
 			return xmap.Stats{}, err
 		}
-		cfg := xmap.Config{Window: f.Window, Seed: scanSeed(seed), DedupExact: true}
+		reg := telemetry.New(telemetry.Options{Shards: 1})
+		cfg := xmap.Config{Window: f.Window, Seed: scanSeed(seed), DedupExact: true, Telemetry: reg}
 		mutate(&cfg)
 		s, err := xmap.New(cfg, f.Drv)
 		if err != nil {
 			return xmap.Stats{}, err
 		}
-		return s.Run(context.Background(), nil)
+		st, err := s.Run(context.Background(), nil)
+		// The retry and AIMD counters are published like every other.
+		problems = append(problems, publishProblems(st, reg.Snapshot())...)
+		return st, err
 	}
 	blind, err := run(func(c *xmap.Config) { c.ProbesPerTarget = 3 })
 	if err != nil {
@@ -184,7 +62,6 @@ func RunAdaptiveOracle(seed int64, p FaultProfile) ([]string, error) {
 		return nil, err
 	}
 
-	var problems []string
 	if adaptive.Sent >= blind.Sent {
 		problems = append(problems, fmt.Sprintf(
 			"adaptive sent %d probes, blind multiplier %d — no probe savings", adaptive.Sent, blind.Sent))

@@ -18,10 +18,12 @@ var (
 // TestScenarios is the scenario runner: for every seed in the sweep and
 // every fault profile, it exercises xmap discovery, subnet inference
 // and loopscan end to end with the invariant checkers attached, plus
-// the per-seed differential oracles. Each subtest name carries the seed
-// and profile, so a failure replays exactly with
+// the per-seed differential oracles and the equivalence matrix. Each
+// subtest name carries the seed and profile (matrix cells:
+// group/scenario/transform), so a failure replays exactly with
 //
 //	go test ./internal/simtest -run 'TestScenarios/seed=N/profile' -base-seed N -seeds 1
+//	go test ./internal/simtest -run 'TestScenarios/seed=N/oracle-defend/loss' -base-seed N -seeds 1
 func TestScenarios(t *testing.T) {
 	for i := 0; i < *seedCount; i++ {
 		seed := *baseSeed + int64(i)
@@ -51,35 +53,19 @@ func TestScenarios(t *testing.T) {
 			t.Run("oracle-routes", func(t *testing.T) {
 				report(t, "lpm-vs-linear", RandomRouteOracle(seed), nil)
 			})
-			t.Run("oracle-udp", func(t *testing.T) {
-				problems, err := RunUDPOracle(seed)
-				report(t, "sim-vs-udp", problems, err)
-			})
-			t.Run("oracle-sharded", func(t *testing.T) {
-				problems, err := RunShardOracle(seed, 4)
-				report(t, "sharded-vs-single", problems, err)
-			})
-			t.Run("oracle-batch", func(t *testing.T) {
-				for _, p := range Profiles {
-					problems, err := RunBatchOracle(seed, p)
-					report(t, "batch-vs-per-packet/"+p.Name, problems, err)
-				}
-			})
-			t.Run("oracle-fastpath", func(t *testing.T) {
-				for _, p := range Profiles {
-					problems, err := RunFastPathOracle(seed, p)
-					report(t, "fastpath-vs-interpreted/"+p.Name, problems, err)
-				}
-			})
-			t.Run("oracle-resume", func(t *testing.T) {
-				for _, p := range Profiles {
-					if !p.Lossless() {
-						continue
+			// The equivalence matrix: each group's scenario × transform
+			// cells, against one shared reference run per scenario.
+			m := newMatrix(seed)
+			for _, g := range matrixGroups {
+				t.Run(g, func(t *testing.T) {
+					for _, e := range matrixEntries(g) {
+						t.Run(e.sc.name+"/"+e.tr.name, func(t *testing.T) {
+							problems, err := m.check(e)
+							report(t, e.tr.name, problems, err)
+						})
 					}
-					problems, err := RunResumeOracle(seed, p)
-					report(t, "kill-and-resume/"+p.Name, problems, err)
-				}
-			})
+				})
+			}
 			t.Run("oracle-hostile", func(t *testing.T) {
 				for _, hp := range HostileProfiles {
 					problems, err := RunHostileOracle(seed, hp)

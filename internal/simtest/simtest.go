@@ -4,7 +4,7 @@
 // decision, so any failing run replays exactly from the seed printed in
 // the test name.
 //
-// The harness has three layers:
+// The harness has four layers:
 //
 //   - fault injection (Injector): seeded packet loss, duplication,
 //     reordering, ICMPv6 rate-limit bursts and mid-scan link flaps,
@@ -14,8 +14,11 @@
 //     the 255-hop amplification circulation cap;
 //   - differential oracles (oracles.go / scenarios.go): the same seeded
 //     scan run through paired implementations — bloom vs exact dedup,
-//     LPM trie vs linear route lookup, sim driver vs loopback UDP
-//     driver — with the result sets diffed.
+//     LPM trie vs linear route lookup — with the result sets diffed;
+//   - the equivalence matrix (matrix.go): scenario × config transform
+//     (fast path, batch size, driver, ring, observability, defenses,
+//     kill/resume, UDP, sharding), each compared against one shared
+//     reference run per scenario on one canonical digest.
 //
 // The scenario runner lives in scenario_test.go:
 //
@@ -23,7 +26,7 @@
 package simtest
 
 import (
-	"hash/fnv"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 
@@ -191,16 +194,25 @@ func (j *Injector) RegisterTelemetry(reg *telemetry.Registry) {
 // PacketKey identifies an IPv6 packet's flow across hops: a hash of next
 // header, source, destination and the layer-4 bytes. The hop limit
 // (byte 7) is deliberately excluded — it is the only field forwarding
-// mutates, so the key is stable along the packet's whole path.
+// mutates, so the key is stable along the packet's whole path. The hash
+// is FNV-1a over 64-bit words with an xor-shift after each multiply, so
+// every input bit reaches every key bit; it runs on every tapped link
+// crossing, so it takes a word, not a byte, per step.
 func PacketKey(pkt []byte) uint64 {
-	h := fnv.New64a()
+	const prime = 0x100000001b3
+	h, b := uint64(0xcbf29ce484222325), pkt
 	if len(pkt) >= 40 && pkt[0]>>4 == 6 {
-		h.Write(pkt[6:7])
-		h.Write(pkt[8:])
-	} else {
-		h.Write(pkt)
+		h = (h ^ uint64(pkt[6])) * prime
+		b = pkt[8:]
 	}
-	return h.Sum64()
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
+		h ^= h >> 32
+	}
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h ^ h>>29
 }
 
 // isICMPv6Error reports whether pkt is an ICMPv6 error message (type <

@@ -365,7 +365,7 @@ func shedSrc(raw []byte) (ipv6.Addr, bool) {
 // dedup has already seen (those would be counted duplicates at best).
 // Replies from unseen responders are never shed — shedding cannot cost
 // recall, only duplicate accounting.
-func (s *Scanner) shed(stats *Stats, releaser Releaser) {
+func (s *Scanner) shed(stats *Stats) {
 	need := len(s.rx) - s.cfg.ShedBudget
 	before := stats.Shed
 	d := s.alias
@@ -391,7 +391,7 @@ func (s *Scanner) shed(stats *Stats, releaser Releaser) {
 				if drop {
 					need--
 					stats.Shed++
-					if releaser != nil {
+					if s.releaser != nil {
 						s.recycle = append(s.recycle, raw)
 					}
 					continue

@@ -215,6 +215,42 @@ func TestScanParallelCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestScanParallelResumeKeepsDuplicates: a 2-shard scan killed mid-cycle
+// and resumed from its checkpoint file must still account for every
+// validated reply: Unique + Duplicates == Received, the cross-shard
+// duplicates of the interrupted leg included.
+func TestScanParallelResumeKeepsDuplicates(t *testing.T) {
+	const shards = 2
+	path := filepath.Join(t.TempDir(), "scan.ckpt")
+	f := buildFixture(t)
+	cfg := Config{
+		Window: window(t, f), Seed: []byte("parallel-dups"),
+		MaxTargets:      60, // per shard, then "crash"
+		CheckpointEvery: 16,
+		CheckpointPath:  path,
+	}
+	if _, err := ScanParallel(context.Background(), cfg, f.drv, shards, nil); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxTargets = 0
+	cfg.ResumeFrom = ck
+	total, err := ScanParallel(context.Background(), cfg, f.drv, shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total.Targets != 256 {
+		t.Errorf("cumulative targets = %d, want 256", total.Targets)
+	}
+	if total.Unique+total.Duplicates != total.Received {
+		t.Errorf("Unique %d + Duplicates %d = %d, Received %d",
+			total.Unique, total.Duplicates, total.Unique+total.Duplicates, total.Received)
+	}
+}
+
 // TestScanParallelResumeRejectsSkew: a checkpoint must not resume under
 // a different identity configuration.
 func TestScanParallelResumeRejectsSkew(t *testing.T) {

@@ -221,18 +221,20 @@ type Handler func(Response)
 // buffer scratch state (ScanParallel gives each goroutine its own
 // Scanner).
 type Scanner struct {
-	cfg     Config
-	drv     Driver
-	flusher Flusher // drv's Flusher capability, if any
-	probe   ProbeModule
-	cycle   *perm.Cycle
-	block   *lpm.Table[bool]
-	allow   *lpm.Table[bool]
-	dedup   dedupSet
-	retry   *retryRing      // nil unless Config.Retries > 0
-	aimd    *aimdController // nil unless Config.AIMD
-	alias   *aliasDetector  // nil unless Config.Defend
-	tel     *telemetry.Shard
+	cfg      Config
+	drv      Driver
+	flusher  Flusher  // drv's Flusher capability, if any
+	releaser Releaser // drv's Releaser capability, if any
+	probe    ProbeModule
+	raw      RawProbeModule // probe, when it parses received packets itself
+	cycle    *perm.Cycle
+	block    *lpm.Table[bool]
+	allow    *lpm.Table[bool]
+	dedup    dedupSet
+	retry    *retryRing      // nil unless Config.Retries > 0
+	aimd     *aimdController // nil unless Config.AIMD
+	alias    *aliasDetector  // nil unless Config.Defend
+	tel      *telemetry.Shard
 	// published is the Stats already added into tel's scan.* counters.
 	published Stats
 	// cross, under ScanParallel, counts the cross-shard dedup verdicts
@@ -250,14 +252,15 @@ type Scanner struct {
 	// passing s.Validation at a call site would allocate a closure per
 	// packet.
 	validate Validator
-	batch    [][]byte
-	// one is the single-probe batch for the paced send path.
-	one [1][]byte
-	// free holds probe buffers whose batch has been sent (the Driver
-	// contract: SendBatch does not retain them); recycle stages drained
-	// receive buffers for return to a Releaser driver; rx is the reused
-	// RecvBatch drain slice. Together they make the steady-state probe
-	// loop allocation-free against the simulator drivers.
+	// batch holds the probes queued for the next flush and built the
+	// distinct buffers behind them; free holds probe buffers whose
+	// probes have been sent (the Driver contract: SendBatch does not
+	// retain them); recycle stages drained receive buffers for return to
+	// a Releaser driver; rx is the reused RecvBatch drain slice. Together
+	// they make the steady-state probe loop allocation-free against the
+	// simulator drivers.
+	batch   [][]byte
+	built   [][]byte
 	free    [][]byte
 	recycle [][]byte
 	rx      [][]byte
@@ -353,6 +356,7 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	}
 	s := &Scanner{cfg: cfg, drv: drv, cycle: cycle}
 	s.flusher, _ = drv.(Flusher)
+	s.releaser, _ = drv.(Releaser)
 	s.tel = cfg.Telemetry.Shard(cfg.ShardIndex)
 	s.tracer = cfg.Tracer
 	s.trStream = cfg.TraceStream
@@ -363,6 +367,7 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	if s.probe == nil {
 		s.probe = &ICMPEchoProbe{}
 	}
+	s.raw, _ = s.probe.(RawProbeModule)
 	if cfg.Defend {
 		s.alias = newAliasDetector(&s.cfg)
 		// Strict embedded-quote validation: error replies must quote an
@@ -456,399 +461,397 @@ func (s *Scanner) TargetFor(idx uint128.Uint128) (ipv6.Addr, error) { return s.d
 // a wedged driver must not hang the scan.
 const maxSendStalls = 1 << 16
 
+// scanRun is one Run's state, shared by its stage methods; the Scanner
+// keeps what outlives a run (buffers, dedup and retry state).
+type scanRun struct {
+	*Scanner
+	handler Handler
+	stats   Stats
+	it      *perm.Iterator
+	src     ipv6.Addr
+	limiter *rateLimiter               // nil unless Config.Rate > 0
+	pender  interface{ Pending() int } // a pipelined driver's queue depth, for watchdog beats
+	// The drain cadence counts probes against the send window (DrainEvery,
+	// or AIMD's choice) locally, not as stats.Targets%DrainEvery, so it
+	// stays correct across resume offsets and retry traffic.
+	window, sinceDrain int
+	lastSent, lastRecv uint64 // AIMD's view at the previous drain
+	baseUp, baseDown   uint64 // restored AIMD decisions
+	nextCkpt           uint64 // Targets at which a checkpoint is due (0 = none)
+	prior              time.Duration
+	start              time.Time
+}
+
 // Run executes the scan, invoking handler for each first-seen responder.
 // It honors ctx cancellation between probes.
 //
-// The send path is batch-first: probes accumulate and flush once per
-// drain window through Driver.SendBatch, amortizing driver entry across
-// the burst. A rate limit forces per-probe pacing, so the paced path
-// sends each probe as a one-packet burst instead.
+// Run drives the stages of one scanRun — generate → build → send → pump
+// (flush, drain: classify/validate → dedup, then defend/AIMD/checkpoint)
+// with due retries ahead of fresh targets — then the cooldown rounds and
+// the final retry accounting. Probes flush once per drain window through
+// Driver.SendBatch; a rate limit is a wait before a one-probe flush.
+// Every exit goes through finish.
 //
 // With Config.Resume set, the scan continues mid-cycle: the permutation
 // cursor fast-forwards past the probed prefix of the shard's sequence,
 // statistics accumulate on top of the restored ones, and the restored
 // dedup state keeps already-reported responders suppressed.
 func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
-	var stats Stats
-	var priorElapsed time.Duration
-	start := time.Now()
-	var it *perm.Iterator
-	if r := s.cfg.Resume; r != nil {
-		stats = r.Stats
-		priorElapsed = r.Stats.Elapsed
-		it = s.cycle.ShardAt(s.cfg.ShardIndex, s.cfg.Shards, r.Consumed)
+	r := s.begin(handler)
+	ranOut, err := r.generate(ctx)
+	r.flush()
+	switch {
+	case err == nil:
+		if err = r.cooldown(); err == nil {
+			r.emit(ranOut)
+		}
+	case err == ctx.Err() && s.cfg.OnCheckpoint != nil:
+		// Collect what the driver already has, then leave a resumable
+		// state behind: cancellation is the crash-safe shutdown path.
+		r.drain()
+		r.emit(false)
+	}
+	return r.finish(), err
+}
+
+// begin sets up a run: cursor, statistics and publish baseline (fresh
+// or resumed), rate limiter, drain and checkpoint schedules.
+func (s *Scanner) begin(handler Handler) *scanRun {
+	r := &scanRun{Scanner: s, handler: handler, start: time.Now(),
+		src: s.drv.SourceAddr(), window: s.cfg.DrainEvery}
+	if res := s.cfg.Resume; res != nil {
+		r.stats, r.prior = res.Stats, res.Stats.Elapsed
+		r.it = s.cycle.ShardAt(s.cfg.ShardIndex, s.cfg.Shards, res.Consumed)
 	} else {
-		it = s.cycle.Shard(s.cfg.ShardIndex, s.cfg.Shards)
+		r.it = s.cycle.Shard(s.cfg.ShardIndex, s.cfg.Shards)
 	}
 	// The registry counts this process's own work: a resumed scan's
 	// restored Stats are the publish baseline, not new counts.
-	s.published = stats
-	defer s.publish(&stats)
-	src := s.drv.SourceAddr()
-	s.wd.Stage(s.cfg.ShardIndex, "send")
-	defer s.wd.Stage(s.cfg.ShardIndex, telemetry.StageDone)
-	// pender exposes a pipelined driver's queued depth for watchdog beats.
-	pender, _ := s.drv.(interface{ Pending() int })
-	// traceSpan records one sampled probe-lifecycle span keyed by the
-	// probe target; the address-hash sampler makes the decision, so the
-	// same targets are traced here and in every other layer.
-	traceSpan := func(kind telemetry.SpanKind, dst ipv6.Addr, arg uint64) {
-		if s.tracer != nil {
-			if b := dst.Bytes(); s.tracer.SampleAddr(b) {
-				s.tracer.Span(s.trStream, kind, stats.Sent, b, arg)
-			}
-		}
-	}
-
-	var limiter *rateLimiter
+	s.published = r.stats
+	r.pender, _ = s.drv.(interface{ Pending() int })
 	if s.cfg.Rate > 0 {
-		limiter = newRateLimiter(s.cfg.Rate)
+		r.limiter = newRateLimiter(s.cfg.Rate)
 	}
-	// Probe-buffer recycling needs the append-building probe module; the
-	// Driver contract already guarantees SendBatch does not retain.
-	appender, _ := s.probe.(AppendProbeModule)
-	// sendAll pushes a burst through the driver with the SendBatch
-	// short-write protocol: retry the unsent tail on transient
-	// backpressure, count an errored packet once and move on. Probes are
-	// neither dropped silently nor double-counted — Sent advances by
-	// exactly what the driver accepted.
-	sendAll := func(pkts [][]byte) {
-		idle := 0
-		for len(pkts) > 0 {
-			n, err := s.drv.SendBatch(pkts)
-			stats.Sent += uint64(n)
-			pkts = pkts[n:]
-			if len(pkts) == 0 {
-				return
-			}
-			if err != nil {
-				// pkts[0] is the packet the driver rejected.
-				stats.SendErrors++
-				pkts = pkts[1:]
-				continue
-			}
-			// Short write without error: ENOBUFS-style pushback. Yield so
-			// whatever drains the packet layer can run, then retry.
-			if idle++; idle > maxSendStalls {
-				stats.SendErrors += uint64(len(pkts))
-				return
-			}
-			runtime.Gosched()
-		}
-	}
-	flush := func() {
-		if len(s.batch) == 0 {
-			return
-		}
-		sendAll(s.batch)
-		if appender != nil {
-			for i, p := range s.batch {
-				// ProbesPerTarget copies are the same slice appended
-				// consecutively; recycle each buffer once.
-				if i > 0 && len(p) > 0 && len(s.batch[i-1]) > 0 && &p[0] == &s.batch[i-1][0] {
-					continue
-				}
-				s.free = append(s.free, p)
-			}
-		}
-		clear(s.batch)
-		s.batch = s.batch[:0]
-	}
-	// send stages one built probe into the current batch, or — when a
-	// rate limit is set, since pacing is inherently per-probe — pushes it
-	// through the driver immediately as a one-probe burst.
-	send := func(pkt []byte) {
-		if limiter == nil {
-			s.batch = append(s.batch, pkt)
-			return
-		}
-		limiter.wait()
-		if s.tracer != nil && len(pkt) >= wire.HeaderLen && pkt[0]>>4 == 6 {
-			var dst [16]byte
-			copy(dst[:], pkt[24:40])
-			if s.tracer.SampleAddr(dst) {
-				s.tracer.Span(s.trStream, telemetry.SpanRateGate, stats.Sent, dst, 0)
-			}
-		}
-		s.one[0] = pkt
-		sendAll(s.one[:])
-		s.one[0] = nil
-		if appender != nil {
-			s.free = append(s.free, pkt)
-		}
-	}
-	buildProbe := func(target ipv6.Addr) ([]byte, error) {
-		if appender != nil {
-			var buf []byte
-			if l := len(s.free); l > 0 {
-				buf, s.free[l-1] = s.free[l-1], nil
-				s.free = s.free[:l-1]
-			}
-			return appender.AppendProbe(buf, src, target, s.Validation(target))
-		}
-		return s.probe.MakeProbe(src, target, s.Validation(target))
-	}
-
-	// The drain cadence: a counter against the send window, which is
-	// DrainEvery fixed, or AIMD-adjusted between drains. Counting locally
-	// (not stats.Targets%DrainEvery) keeps the cadence correct across
-	// resume offsets and retry traffic.
-	window := s.cfg.DrainEvery
-	sinceDrain := 0
-	lastSent, lastRecv := stats.Sent, stats.Received
-	baseUp, baseDown := stats.RateUp, stats.RateDown
-	s.tel.SetGauge(telemetry.GaugeWindow, int64(window))
-	var nextCkpt uint64
+	r.lastSent, r.lastRecv = r.stats.Sent, r.stats.Received
+	r.baseUp, r.baseDown = r.stats.RateUp, r.stats.RateDown
 	if s.cfg.CheckpointEvery > 0 {
-		nextCkpt = stats.Targets + s.cfg.CheckpointEvery
+		r.nextCkpt = r.stats.Targets + s.cfg.CheckpointEvery
 	}
-	// emit hands the current resumable state to the checkpoint sink. It
-	// runs only after a flush+drain, so the serialized dedup set reflects
-	// every response collected so far.
-	emit := func(done bool) {
-		if s.cfg.OnCheckpoint == nil {
-			return
+	s.wd.Stage(s.cfg.ShardIndex, "send")
+	s.tel.SetGauge(telemetry.GaugeWindow, int64(r.window))
+	return r
+}
+
+// generate is the main loop: service due retries, take the next
+// permutation index, derive and filter its target, build and send its
+// probe, and close the send window when due. ranOut reports that the
+// shard's permutation walk is complete.
+func (r *scanRun) generate(ctx context.Context) (ranOut bool, err error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
-		stats.Elapsed = priorElapsed + time.Since(start)
-		st := ShardState{
-			Shard:     s.cfg.ShardIndex,
-			Done:      done,
-			Consumed:  it.Consumed(),
-			Stats:     stats,
-			DedupKind: s.dedup.kind(),
-			Dedup:     s.dedup.appendState(nil),
-		}
-		if s.retry != nil {
-			st.Retry = s.retry.appendState(nil)
-		}
-		s.cfg.OnCheckpoint(st)
-		s.publish(&stats)
-		s.tel.Inc(telemetry.ScanCheckpoints)
-		// A cut concerns every target, so its span is recorded unsampled.
-		s.tracer.Span(s.trStream, telemetry.SpanCheckpoint, stats.Sent, zeroAddr, stats.Targets)
-	}
-	// pumpDue reports whether the send window should close now: it is
-	// full, or a checkpoint interval expired (a checkpoint needs the
-	// flush+drain for a consistent dedup snapshot, so it forces one).
-	pumpDue := func() bool {
-		return sinceDrain >= window || (nextCkpt > 0 && stats.Targets >= nextCkpt)
-	}
-	// sendCooldown fires the alias detector's queued re-probes and
-	// flushes them immediately: cooldown evidence must arrive within the
-	// cooldown window regardless of how full the next send window is.
-	sendCooldown := func() {
-		if s.alias == nil {
-			return
-		}
-		pending := s.alias.takePending()
-		if len(pending) == 0 {
-			return
-		}
-		for _, dst := range pending {
-			pkt, err := buildProbe(dst)
-			if err != nil {
-				continue
-			}
-			send(pkt)
-			stats.AliasCooldown++
-			traceSpan(telemetry.SpanAliasCooldown, dst, 0)
-		}
-		flush()
-	}
-	// pump closes a send window: flush, drain, let AIMD reconsider the
-	// window, and checkpoint if the interval has passed.
-	pump := func() {
-		if s.wd != nil {
-			depth := 0
-			if pender != nil {
-				depth = pender.Pending()
-			}
-			s.wd.Beat(s.cfg.ShardIndex, stats.Sent, depth, uint64(sinceDrain))
-		}
-		flush()
-		s.tel.Observe(telemetry.HistDrainBatch, uint64(sinceDrain))
-		s.wd.Stage(s.cfg.ShardIndex, "drain")
-		s.drain(&stats, handler)
-		sendCooldown()
-		s.wd.Stage(s.cfg.ShardIndex, "send")
-		sinceDrain = 0
-		if s.aimd != nil {
-			prevWindow := window
-			window = s.aimd.update(stats.Sent-lastSent, stats.Received-lastRecv)
-			lastSent, lastRecv = stats.Sent, stats.Received
-			stats.RateUp = baseUp + s.aimd.ups
-			stats.RateDown = baseDown + s.aimd.downs
-			if window != prevWindow {
-				s.tel.SetGauge(telemetry.GaugeWindow, int64(window))
-				// Window changes are rare and concern every target, so the
-				// span is recorded unsampled.
-				s.tracer.Span(s.trStream, telemetry.SpanAIMD, stats.Sent, zeroAddr, uint64(window))
+		// Due retries go ahead of fresh targets: their backoff deadline
+		// has passed, and resolving them frees ring capacity.
+		if r.retry != nil {
+			if err := r.retries(0, true); err != nil {
+				return false, err
 			}
 		}
-		if s.retry != nil {
-			s.tel.SetGauge(telemetry.GaugeRetryPending, int64(s.retry.pending))
+		if r.cfg.MaxTargets > 0 && r.stats.Targets >= r.cfg.MaxTargets {
+			return false, nil
 		}
-		if nextCkpt > 0 && stats.Targets >= nextCkpt {
-			emit(false)
-			nextCkpt = stats.Targets + s.cfg.CheckpointEvery
+		idx, ok := r.it.Next()
+		if !ok {
+			return true, nil
 		}
-		s.publish(&stats)
-		s.cfg.Monitor.Tick()
+		target, err := r.TargetFor(idx)
+		if err != nil {
+			return false, err
+		}
+		if r.skipTarget(target) {
+			r.stats.Blocked++
+			continue
+		}
+		pkt, err := r.build(target)
+		if err != nil {
+			return false, fmt.Errorf("xmap: building probe for %s: %w", target, err)
+		}
+		r.send(pkt, r.cfg.ProbesPerTarget)
+		r.track(retryEntry{idx: idx, dst: target, due: r.stats.Sent + uint64(r.cfg.RetryTimeout), attempts: 1})
+		r.stats.Targets++
+		r.sinceDrain++
+		r.span(telemetry.SpanSent, target, r.stats.Targets)
+		if r.pumpDue() {
+			r.pump()
+		}
 	}
-	// sendRetry re-probes a due entry (one probe, not ProbesPerTarget
-	// copies) and reschedules it with exponential backoff.
-	sendRetry := func(e retryEntry) error {
-		pkt, err := buildProbe(e.dst)
+}
+
+// build has the probe module build target's probe into a recycled
+// buffer from the free list.
+func (r *scanRun) build(target ipv6.Addr) ([]byte, error) {
+	var buf []byte
+	if l := len(r.free); l > 0 {
+		buf, r.free[l-1] = r.free[l-1], nil
+		r.free = r.free[:l-1]
+	}
+	return r.probe.AppendProbe(buf, r.src, target, r.Validation(target))
+}
+
+// send queues copies of one built probe. Unpaced, they wait in the batch
+// for the window's flush; paced, each copy is a rate wait then a
+// one-probe flush. Either way the buffer returns to the free list once,
+// at the first flush after its last copy left.
+func (r *scanRun) send(pkt []byte, copies int) {
+	for i := 0; i < copies; i++ {
+		r.batch = append(r.batch, pkt)
+		if r.limiter != nil {
+			r.limiter.wait()
+			if r.tracer != nil && len(pkt) >= wire.HeaderLen && pkt[0]>>4 == 6 {
+				r.span(telemetry.SpanRateGate, ipv6.AddrFromBytes(pkt[24:40]), 0)
+			}
+			r.flush()
+		}
+	}
+	r.built = append(r.built, pkt)
+}
+
+// flush pushes the batch through the driver with the SendBatch
+// short-write protocol — retry the unsent tail on transient
+// backpressure, count an errored packet once and move on, so Sent
+// advances by exactly what the driver accepted — and then recycles the
+// buffers of probes that have left (the Driver contract: SendBatch does
+// not retain them).
+func (r *scanRun) flush() {
+	pkts, idle := r.batch, 0
+	for len(pkts) > 0 {
+		n, err := r.drv.SendBatch(pkts)
+		r.stats.Sent += uint64(n)
+		if pkts = pkts[n:]; len(pkts) == 0 {
+			break
+		}
+		if err != nil {
+			// pkts[0] is the packet the driver rejected.
+			r.stats.SendErrors++
+			pkts = pkts[1:]
+			continue
+		}
+		// Short write without error: ENOBUFS-style pushback. Yield so
+		// whatever drains the packet layer can run, then retry.
+		if idle++; idle > maxSendStalls {
+			r.stats.SendErrors += uint64(len(pkts))
+			break
+		}
+		runtime.Gosched()
+	}
+	clear(r.batch)
+	r.batch = r.batch[:0]
+	r.free = append(r.free, r.built...)
+	clear(r.built)
+	r.built = r.built[:0]
+}
+
+// pumpDue reports whether the send window should close now: it is full,
+// or a checkpoint interval expired (a checkpoint needs the flush+drain
+// for a consistent dedup snapshot, so it forces one).
+func (r *scanRun) pumpDue() bool {
+	return r.sinceDrain >= r.window || (r.nextCkpt > 0 && r.stats.Targets >= r.nextCkpt)
+}
+
+// pump closes a send window: flush, drain, fire the alias detector's
+// cooldown probes, let AIMD reconsider the window, checkpoint if the
+// interval has passed, publish and tick the monitor.
+func (r *scanRun) pump() {
+	if r.wd != nil {
+		depth := 0
+		if r.pender != nil {
+			depth = r.pender.Pending()
+		}
+		r.wd.Beat(r.cfg.ShardIndex, r.stats.Sent, depth, uint64(r.sinceDrain))
+	}
+	r.flush()
+	r.tel.Observe(telemetry.HistDrainBatch, uint64(r.sinceDrain))
+	r.wd.Stage(r.cfg.ShardIndex, "drain")
+	r.drain()
+	r.sendCooldown()
+	r.wd.Stage(r.cfg.ShardIndex, "send")
+	r.sinceDrain = 0
+	if r.aimd != nil {
+		prevWindow := r.window
+		r.window = r.aimd.update(r.stats.Sent-r.lastSent, r.stats.Received-r.lastRecv)
+		r.lastSent, r.lastRecv = r.stats.Sent, r.stats.Received
+		r.stats.RateUp = r.baseUp + r.aimd.ups
+		r.stats.RateDown = r.baseDown + r.aimd.downs
+		if r.window != prevWindow {
+			r.tel.SetGauge(telemetry.GaugeWindow, int64(r.window))
+			// Window changes are rare and concern every target, so the
+			// span is recorded unsampled.
+			r.tracer.Span(r.trStream, telemetry.SpanAIMD, r.stats.Sent, zeroAddr, uint64(r.window))
+		}
+	}
+	if r.retry != nil {
+		r.tel.SetGauge(telemetry.GaugeRetryPending, int64(r.retry.pending))
+	}
+	if r.nextCkpt > 0 && r.stats.Targets >= r.nextCkpt {
+		r.emit(false)
+		r.nextCkpt = r.stats.Targets + r.cfg.CheckpointEvery
+	}
+	r.publish(&r.stats)
+	r.cfg.Monitor.Tick()
+}
+
+// sendCooldown fires the alias detector's queued re-probes and flushes
+// them immediately: cooldown evidence must arrive within the cooldown
+// window regardless of how full the next send window is.
+func (r *scanRun) sendCooldown() {
+	if r.alias == nil {
+		return
+	}
+	for _, dst := range r.alias.takePending() {
+		pkt, err := r.build(dst)
+		if err != nil {
+			continue
+		}
+		r.send(pkt, 1)
+		r.stats.AliasCooldown++
+		r.span(telemetry.SpanAliasCooldown, dst, 0)
+	}
+	r.flush()
+}
+
+// retries services the retry ring — the one routine behind the main
+// loop, the cooldown rounds and the final accounting. live follows the
+// probe clock and closes full send windows; otherwise clock is fixed,
+// and ^0 ends the scan. A due entry out of attempts counts as exhausted;
+// at the end the rest are abandoned, else re-probed (one probe, not
+// ProbesPerTarget copies) and rescheduled with exponential backoff.
+func (r *scanRun) retries(clock uint64, live bool) error {
+	for r.retry != nil {
+		if live {
+			clock = r.stats.Sent
+		}
+		e, ok := r.retry.popDue(clock)
+		switch {
+		case !ok:
+			return nil
+		case int(e.attempts) >= 1+r.cfg.Retries:
+			r.stats.RetryExhausted++
+			r.tracer.Anomaly(telemetry.AnomalyRetryExhausted, r.trStream, r.stats.Sent, e.dst.Bytes())
+			continue
+		case clock == ^uint64(0):
+			r.stats.RetryAbandoned++
+			continue
+		}
+		pkt, err := r.build(e.dst)
 		if err != nil {
 			return fmt.Errorf("xmap: building retry probe for %s: %w", e.dst, err)
 		}
-		send(pkt)
-		stats.Retried++
-		sinceDrain++
+		r.send(pkt, 1)
+		r.stats.Retried++
+		r.sinceDrain++
 		e.attempts++
-		e.due = stats.Sent + uint64(s.cfg.RetryTimeout)<<(e.attempts-1)
-		traceSpan(telemetry.SpanRetry, e.dst, uint64(e.attempts))
-		if !s.retry.push(e) {
-			stats.RetryDropped++
-		}
-		return nil
-	}
-
-	ranOut := false
-	for {
-		if err := ctx.Err(); err != nil {
-			flush()
-			if s.cfg.OnCheckpoint != nil {
-				// Collect what the driver already has, then leave a
-				// resumable state behind: cancellation is the crash-safe
-				// shutdown path.
-				s.drain(&stats, handler)
-				emit(false)
-			}
-			stats.Elapsed = priorElapsed + time.Since(start)
-			return stats, err
-		}
-		// Service due retries ahead of fresh targets: their backoff
-		// deadline has passed, and resolving them frees ring capacity.
-		if s.retry != nil {
-			for {
-				e, ok := s.retry.popDue(stats.Sent)
-				if !ok {
-					break
-				}
-				if int(e.attempts) >= 1+s.cfg.Retries {
-					stats.RetryExhausted++
-					s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
-					continue
-				}
-				if err := sendRetry(e); err != nil {
-					flush()
-					stats.Elapsed = priorElapsed + time.Since(start)
-					return stats, err
-				}
-				if pumpDue() {
-					pump()
-				}
-			}
-		}
-		if s.cfg.MaxTargets > 0 && stats.Targets >= s.cfg.MaxTargets {
-			break
-		}
-		idx, ok := it.Next()
-		if !ok {
-			ranOut = true
-			break
-		}
-		target, err := s.TargetFor(idx)
-		if err != nil {
-			flush()
-			stats.Elapsed = priorElapsed + time.Since(start)
-			return stats, err
-		}
-		if s.skipTarget(target) {
-			stats.Blocked++
-			continue
-		}
-		pkt, err := buildProbe(target)
-		if err != nil {
-			flush()
-			stats.Elapsed = priorElapsed + time.Since(start)
-			return stats, fmt.Errorf("xmap: building probe for %s: %w", target, err)
-		}
-		for copyN := 0; copyN < s.cfg.ProbesPerTarget; copyN++ {
-			send(pkt)
-		}
-		if s.retry != nil {
-			if !s.retry.push(retryEntry{
-				idx:      idx,
-				dst:      target,
-				due:      stats.Sent + uint64(s.cfg.RetryTimeout),
-				attempts: 1,
-			}) {
-				stats.RetryDropped++
-			}
-		}
-		stats.Targets++
-		sinceDrain++
-		traceSpan(telemetry.SpanSent, target, stats.Targets)
-		if pumpDue() {
-			pump()
+		e.due = r.stats.Sent + uint64(r.cfg.RetryTimeout)<<(e.attempts-1)
+		r.span(telemetry.SpanRetry, e.dst, uint64(e.attempts))
+		r.track(e)
+		if live && r.pumpDue() {
+			r.pump()
 		}
 	}
-	flush()
+	return nil
+}
 
-	// Cooldown: a bounded sequence of drain rounds collects stragglers (a
-	// real driver may deliver late). Between rounds the probe clock jumps
-	// to the next retry deadline, so pending retries get their backoff
-	// tiers fired before the deadline expires; the final round only
-	// drains.
-	s.wd.Stage(s.cfg.ShardIndex, "cooldown")
-	for round := 0; round < s.cfg.CooldownDrains; round++ {
-		s.drain(&stats, handler)
-		sendCooldown()
-		if s.retry == nil || round == s.cfg.CooldownDrains-1 {
+// track schedules a probed target's retry, counting it dropped when the
+// ring is full.
+func (r *scanRun) track(e retryEntry) {
+	if r.retry != nil && !r.retry.push(e) {
+		r.stats.RetryDropped++
+	}
+}
+
+// cooldown runs the bounded drain rounds at scan end, collecting
+// stragglers (a real driver may deliver late). Between rounds the probe
+// clock jumps to the next retry deadline, so pending retries get their
+// backoff tiers fired before the deadline expires; the final round only
+// drains. Whatever is still pending afterwards is accounted for.
+func (r *scanRun) cooldown() error {
+	r.wd.Stage(r.cfg.ShardIndex, "cooldown")
+	for round := 0; round < r.cfg.CooldownDrains; round++ {
+		r.drain()
+		r.sendCooldown()
+		if r.retry == nil || round == r.cfg.CooldownDrains-1 {
 			continue
 		}
-		clock := stats.Sent
-		if due, ok := s.retry.nextDue(); ok && due > clock {
+		clock := r.stats.Sent
+		if due, ok := r.retry.nextDue(); ok && due > clock {
 			clock = due
 		}
-		for {
-			e, ok := s.retry.popDue(clock)
-			if !ok {
-				break
-			}
-			if int(e.attempts) >= 1+s.cfg.Retries {
-				stats.RetryExhausted++
-				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
-				continue
-			}
-			if err := sendRetry(e); err != nil {
-				stats.Elapsed = priorElapsed + time.Since(start)
-				return stats, err
-			}
+		if err := r.retries(clock, false); err != nil {
+			return err
 		}
-		flush()
+		r.flush()
 	}
-	// Account for whatever the deadline left unresolved.
-	if s.retry != nil {
-		for {
-			e, ok := s.retry.popDue(^uint64(0))
-			if !ok {
-				break
-			}
-			if int(e.attempts) >= 1+s.cfg.Retries {
-				stats.RetryExhausted++
-				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
-			} else {
-				stats.RetryAbandoned++
-			}
-		}
-		s.tel.SetGauge(telemetry.GaugeRetryPending, 0)
+	if r.retry != nil {
+		r.tel.SetGauge(telemetry.GaugeRetryPending, 0)
 	}
-	emit(ranOut)
-	stats.Elapsed = priorElapsed + time.Since(start)
-	return stats, nil
+	return r.retries(^uint64(0), false)
+}
+
+// emit hands the current resumable state to the checkpoint sink. It
+// runs only after a flush+drain, so the serialized dedup set reflects
+// every response collected so far.
+func (r *scanRun) emit(done bool) {
+	if r.cfg.OnCheckpoint == nil {
+		return
+	}
+	st := ShardState{
+		Shard:     r.cfg.ShardIndex,
+		Done:      done,
+		Consumed:  r.it.Consumed(),
+		Stats:     r.stamped(),
+		DedupKind: r.dedup.kind(),
+		Dedup:     r.dedup.appendState(nil),
+	}
+	if r.retry != nil {
+		st.Retry = r.retry.appendState(nil)
+	}
+	r.cfg.OnCheckpoint(st)
+	r.publish(&r.stats)
+	r.tel.Inc(telemetry.ScanCheckpoints)
+	// A cut concerns every target, so its span is recorded unsampled.
+	r.tracer.Span(r.trStream, telemetry.SpanCheckpoint, r.stats.Sent, zeroAddr, r.stats.Targets)
+}
+
+// stamped returns the statistics with Elapsed brought up to date: the
+// one place Stats.Elapsed is set.
+func (r *scanRun) stamped() Stats {
+	st := r.stats
+	st.Elapsed = r.prior + time.Since(r.start)
+	return st
+}
+
+// finish is Run's single exit: publish the last counts, mark the shard
+// done for the watchdog and return the stamped statistics.
+func (r *scanRun) finish() Stats {
+	r.publish(&r.stats)
+	r.wd.Stage(r.cfg.ShardIndex, telemetry.StageDone)
+	return r.stamped()
+}
+
+// span records one sampled probe-lifecycle span keyed by the probe
+// target; the address-hash sampler makes the decision, so the same
+// targets are traced here and in every other layer. The nil check
+// inlines, keeping a detached tracer to one branch per hook.
+func (r *scanRun) span(kind telemetry.SpanKind, dst ipv6.Addr, arg uint64) {
+	if r.tracer != nil {
+		r.sampledSpan(kind, dst, arg)
+	}
+}
+
+func (r *scanRun) sampledSpan(kind telemetry.SpanKind, dst ipv6.Addr, arg uint64) {
+	if b := dst.Bytes(); r.tracer.SampleAddr(b) {
+		r.tracer.Span(r.trStream, kind, r.stats.Sent, b, arg)
+	}
 }
 
 // publish adds the change in each Stats counter since the last publish
@@ -914,101 +917,92 @@ func (s *Scanner) skipTarget(a ipv6.Addr) bool {
 // dedup. A pipelined driver is flushed first, so the drain window is a
 // barrier: every probe accepted before it has reached the packet layer,
 // which keeps checkpoints (emitted only after a drain) and the
-// batch-vs-per-packet oracle sound. Buffers that no Response retains
-// (only KindUDPData keeps a Payload reference) go back to a Releaser
-// driver afterwards.
-func (s *Scanner) drain(stats *Stats, handler Handler) {
-	rawMod, isRaw := s.probe.(RawProbeModule)
-	releaser, _ := s.drv.(Releaser)
-	if s.flusher != nil {
-		s.flusher.Flush()
+// equivalence matrix's ring entry sound. Buffers that no Response
+// retains (only KindUDPData keeps a Payload reference) go back to a
+// Releaser driver afterwards.
+func (r *scanRun) drain() {
+	if r.flusher != nil {
+		r.flusher.Flush()
 	}
-	s.rx = s.drv.RecvBatch(s.rx[:0])
-	if s.alias != nil && len(s.rx) > s.cfg.ShedBudget {
-		s.shed(stats, releaser)
+	stats := &r.stats
+	r.rx = r.drv.RecvBatch(r.rx[:0])
+	if r.alias != nil && len(r.rx) > r.cfg.ShedBudget {
+		r.shed(stats)
 	}
-	for _, raw := range s.rx {
+	for _, raw := range r.rx {
 		var (
 			resp   Response
 			ok     bool
 			parsed bool
 		)
-		if isRaw {
-			resp, ok = rawMod.ClassifyRaw(raw, s.validate)
-		} else if err := s.sum.Parse(raw); err == nil {
-			resp, ok = s.probe.Classify(&s.sum, s.validate)
+		if r.raw != nil {
+			resp, ok = r.raw.ClassifyRaw(raw, r.validate)
+		} else if err := r.sum.Parse(raw); err == nil {
+			resp, ok = r.probe.Classify(&r.sum, r.validate)
 			parsed = true
 		}
-		if releaser != nil && resp.Payload == nil {
-			s.recycle = append(s.recycle, raw)
+		if r.releaser != nil && resp.Payload == nil {
+			r.recycle = append(r.recycle, raw)
 		}
 		if !ok {
 			stats.Invalid++
-			if s.alias != nil {
-				s.aliasQuarantine(raw, stats)
+			if r.alias != nil {
+				r.aliasQuarantine(raw, stats)
 			}
 			continue
 		}
 		stats.Received++
 		var hop uint64
 		if parsed {
-			hop = uint64(s.sum.IP.HopLimit)
-			s.tel.Observe(telemetry.HistReplyHopLimit, hop)
+			hop = uint64(r.sum.IP.HopLimit)
+			r.tel.Observe(telemetry.HistReplyHopLimit, hop)
 		}
 		// Spans key by the probed target (not the responder) so the
 		// reply stitches onto the target's sent/hop spans.
-		if s.tracer != nil {
-			if b := resp.ProbeDst.Bytes(); s.tracer.SampleAddr(b) {
-				kind := telemetry.SpanReply
-				if resp.Kind == KindDestUnreach || resp.Kind == KindTimeExceeded {
-					kind = telemetry.SpanICMPError
-				}
-				s.tracer.Span(s.trStream, kind, stats.Sent, b, hop)
-			}
+		kind := telemetry.SpanReply
+		if resp.Kind == KindDestUnreach || resp.Kind == KindTimeExceeded {
+			kind = telemetry.SpanICMPError
 		}
-		if s.retry != nil {
+		r.span(kind, resp.ProbeDst, hop)
+		if r.retry != nil {
 			// Any validated response resolves the probed target, even a
 			// duplicate responder or an ICMP error: the path answered. The
 			// resolved entry dates the probe, yielding the reply latency in
 			// probe-clock ticks.
-			if e, answered := s.retry.answered(resp.ProbeDst); answered {
-				sentAt := e.due - uint64(s.cfg.RetryTimeout)<<(e.attempts-1)
-				s.tel.Observe(telemetry.HistReplyLatency, stats.Sent-sentAt)
+			if e, answered := r.retry.answered(resp.ProbeDst); answered {
+				sentAt := e.due - uint64(r.cfg.RetryTimeout)<<(e.attempts-1)
+				r.tel.Observe(telemetry.HistReplyLatency, stats.Sent-sentAt)
 			}
 		}
-		if s.alias != nil && s.aliasObserve(&resp, stats) {
+		if r.alias != nil && r.aliasObserve(&resp, stats) {
 			// Detector traffic (cooldown-probe replies, saturation
 			// chatter from prefixes under suspicion): consumed, never
 			// dedup'd or handed to the handler.
 			continue
 		}
-		if !s.dedup.checkAdd(resp.Responder) {
+		if !r.dedup.checkAdd(resp.Responder) {
 			stats.Duplicates++
-			if s.tracer != nil {
-				if b := resp.ProbeDst.Bytes(); s.tracer.SampleAddr(b) {
-					s.tracer.Span(s.trStream, telemetry.SpanDedup, stats.Sent, b, 0)
-				}
-			}
+			r.span(telemetry.SpanDedup, resp.ProbeDst, 0)
 			continue
 		}
 		stats.Unique++
-		if handler != nil {
-			handler(resp)
+		if r.handler != nil {
+			r.handler(resp)
 		}
 	}
-	if releaser != nil && len(s.recycle) > 0 {
-		// Deferred past the loop: s.sum still references the most
+	if r.releaser != nil && len(r.recycle) > 0 {
+		// Deferred past the loop: r.sum still references the most
 		// recently parsed buffer until the next Parse.
-		releaser.Release(s.recycle)
-		clear(s.recycle)
-		s.recycle = s.recycle[:0]
+		r.releaser.Release(r.recycle)
+		clear(r.recycle)
+		r.recycle = r.recycle[:0]
 	}
 	// Drop the drain slice's references so released buffers are not
 	// pinned until the next drain.
-	clear(s.rx)
-	s.rx = s.rx[:0]
-	if s.alias != nil {
-		s.aliasTick()
+	clear(r.rx)
+	r.rx = r.rx[:0]
+	if r.alias != nil {
+		r.aliasTick()
 	}
 }
 

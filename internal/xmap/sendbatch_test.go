@@ -1,6 +1,7 @@
 package xmap
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -180,3 +181,29 @@ func (f *funcPacketDriver) Recv() [][]byte {
 	return f.recv()
 }
 func (f *funcPacketDriver) SourceAddr() ipv6.Addr { return ipv6.Addr{} }
+
+// TestPacedSendsRecycleOncePerTarget: with a rate limit and several
+// probes per target, each copy leaves in its own one-probe flush, yet the
+// probe buffer must return to the free list once per target — not once
+// per copy, which grows the list by ProbesPerTarget-1 entries a target.
+func TestPacedSendsRecycleOncePerTarget(t *testing.T) {
+	f := buildFixture(t)
+	s, err := New(Config{
+		Window: window(t, f), Seed: []byte("paced"),
+		Rate: 1_000_000, ProbesPerTarget: 3,
+	}, f.drv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Sent != 3*256 {
+		t.Fatalf("sent %d probes, want %d", stats.Sent, 3*256)
+	}
+	if len(s.free) > s.cfg.DrainEvery {
+		t.Errorf("free list holds %d buffers after a paced P=3 scan, want <= DrainEvery (%d)",
+			len(s.free), s.cfg.DrainEvery)
+	}
+}

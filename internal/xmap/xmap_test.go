@@ -458,7 +458,7 @@ func TestTCPSynProbeAgainstStack(t *testing.T) {
 	src := ipv6.MustParseAddr("2001:beef::100")
 	dst := ipv6.MustParseAddr("2001:db8::1")
 	val := uint32(0xcafe1234)
-	probe, err := p.MakeProbe(src, dst, val)
+	probe, err := p.AppendProbe(nil, src, dst, val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -907,7 +907,7 @@ func TestProbeNames(t *testing.T) {
 	}
 	// Non-default hop limits apply.
 	p := &ICMPEchoProbe{HopLimit: 32}
-	pkt, err := p.MakeProbe(ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
+	pkt, err := p.AppendProbe(nil, ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -915,7 +915,7 @@ func TestProbeNames(t *testing.T) {
 		t.Errorf("hop limit = %d", pkt[7])
 	}
 	t4 := &TCPSynProbe{Port: 80, HopLimit: 40}
-	pkt, err = t4.MakeProbe(ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
+	pkt, err = t4.AppendProbe(nil, ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
